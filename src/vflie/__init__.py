@@ -36,6 +36,7 @@ from .tensormod import (
     shift_embed,
     shift_submodule,
     weight_support,
+    word_vectors,
 )
 from .spanning import (
     GeneratorSet,

@@ -29,7 +29,6 @@ from .spanning import (
     SearchExhaustedError,
     dilated_generators,
     find_good_shift,
-    graded_basis_certificate,
     shift_determinant,
     spanning_certificate,
     spanning_generators,
@@ -127,8 +126,9 @@ def _cmd_phi(args):
 def _cmd_shift(args):
     lam = _rat_vector(args.lam, args.r)
     mu = _rat_vector(args.mu, args.r)
-    N = find_good_shift(args.r, lam, mu, bound=args.bound, cutoff=args.cutoff)
-    cert = graded_basis_certificate(args.r, lam, mu, N, args.cutoff)
+    N, cert = find_good_shift(
+        args.r, lam, mu, bound=args.bound, cutoff=args.cutoff, certificate=True
+    )
     if args.format == "text":
         _emit(
             args,

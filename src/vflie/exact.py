@@ -23,6 +23,7 @@ __all__ = [
     "SparseMat",
     "Echelon",
     "rank",
+    "interpolate",
     "kernel_basis",
     "det_symbolic",
 ]
@@ -42,7 +43,10 @@ def parse_rat(text: str) -> Fraction:
         raise ValueError("empty rational literal")
     if "/" in s:
         p, q = s.split("/", 1)
-        return Fraction(int(p.strip()), int(q.strip()))
+        num, den = int(p.strip()), int(q.strip())
+        if den == 0:
+            raise ValueError("zero denominator in %r" % text)
+        return Fraction(num, den)
     return Fraction(int(s))
 
 
@@ -52,6 +56,30 @@ def format_rat(q) -> str:
     if q.denominator == 1:
         return str(q.numerator)
     return "%d/%d" % (q.numerator, q.denominator)
+
+
+def interpolate(values, x0=0):
+    """Coefficients, ascending, of the polynomial through (x0 + i, values[i]),
+    by Newton forward differences; trailing zeros are dropped."""
+    n = len(values)
+    table = [list(values)]
+    for k in range(1, n):
+        prev = table[-1]
+        table.append([(prev[i + 1] - prev[i]) / k for i in range(len(prev) - 1)])
+    coeffs = [Fraction(0)] * n
+    basis = [Fraction(1)]  # falling-factorial product, dense coefficients
+    for k in range(n):
+        dd = table[k][0]
+        for i, b in enumerate(basis):
+            coeffs[i] += dd * b
+        nxt = [Fraction(0)] * (len(basis) + 1)
+        for i, b in enumerate(basis):  # multiply by (x - x0 - k)
+            nxt[i + 1] += b
+            nxt[i] -= b * (x0 + k)
+        basis = nxt
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    return coeffs
 
 
 def deglex_key(expo):
@@ -335,7 +363,10 @@ class MPoly:
 
 
 def _to_int_vector(vec):
-    """Scale a {key: Fraction} vector to integers; returns (int vector, scale)."""
+    """Scale a {key: Fraction} vector to integers; returns (int vector, scale).
+    An all-int vector is copied as it is, with scale 1."""
+    if all(type(c) is int for c in vec.values()):
+        return {k: c for k, c in vec.items() if c}, 1
     denom = 1
     for c in vec.values():
         c = Fraction(c)
@@ -347,18 +378,6 @@ def _to_int_vector(vec):
         if v:
             out[k] = v
     return out, denom
-
-
-def _strip_gcd(vec):
-    g = 0
-    for v in vec.values():
-        g = math.gcd(g, v)
-        if g == 1:
-            return vec
-    if g > 1:
-        for k in vec:
-            vec[k] //= g
-    return vec
 
 
 class Echelon:

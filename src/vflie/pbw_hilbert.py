@@ -18,9 +18,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from ._enum import weighted_vectors
-from .exact import Echelon, MPoly
-from .tensormod import ModuleDescriptor, act_e, monomial
+from .exact import Echelon, MPoly, interpolate
+from .tensormod import ModuleDescriptor, word_vectors
 
 __all__ = [
     "PolyModulePresentation",
@@ -89,7 +88,9 @@ def associated_graded_presentation(
     word length; a dependent column's dependency is truncated to its
     maximal-length terms (lower lengths vanish in the graded piece), so the
     harvested relations generate the graded relation module exactly on the
-    verified window.
+    verified window.  Columns come from word_vectors, scaled by
+    den**length; a truncated dependency has a single length, so it is a
+    multiple of the exact one and normalizes to the same relation.
     """
     r = descriptor.r
     gvars = _g_vars(r)
@@ -99,21 +100,14 @@ def associated_graded_presentation(
     for w in range(cutoff + 1):
         columns = []
         for j, s in enumerate(gens):
-            rem = w - sum(s)
-            if rem < 0:
-                continue
-            for b in weighted_vectors(r, rem):
-                columns.append((sum(b), b, j, s))
-        columns.sort()
+            for (_, b), vec in word_vectors(descriptor, [s], w):
+                columns.append((sum(b), b, j, vec))
+        columns.sort(key=lambda col: col[:3])
         ech = Echelon(track=True)
         labels = []
-        for length, b, j, s in columns:
-            vec = monomial(descriptor, s)
-            for k in range(r, 0, -1):
-                for _ in range(b[k - 1]):
-                    vec = act_e(k, vec)
+        for length, b, j, vec in columns:
             labels.append((length, b, j))
-            combo = ech.insert(vec.terms if vec.terms else {})
+            combo = ech.insert(vec)
             if combo is None:
                 continue
             parts = {}
@@ -547,7 +541,7 @@ def partial_sum_polynomial(series: RationalSeries, window: int):
             continue
         x0 = window - d - 3
         values = [rows[0][x0 + i] for i in range(d + 4)]
-        coeffs = _interp_at(values[: d + 1], x0)
+        coeffs = interpolate(values[: d + 1], x0)
         if all(
             _poly_eval(coeffs, x0 + i) == values[i] for i in range(len(values))
         ):
@@ -558,30 +552,6 @@ def partial_sum_polynomial(series: RationalSeries, window: int):
                 raise ValueError("leading coefficient %s is not integral" % c)
             return [Fraction(x) for x in coeffs], d, int(c)
     raise ValueError("window %d too small for partial sums to stabilize" % window)
-
-
-def _interp_at(values, x0):
-    """Polynomial through (x0 + i, values[i]), coefficients ascending."""
-    n = len(values)
-    table = [list(values)]
-    for k in range(1, n):
-        prev = table[-1]
-        table.append([(prev[i + 1] - prev[i]) / k for i in range(len(prev) - 1)])
-    coeffs = [Fraction(0)] * n
-    basis = [Fraction(1)]
-    for k in range(n):
-        dd = table[k][0]
-        for i, b in enumerate(basis):
-            coeffs[i] += dd * b
-        nxt = [Fraction(0)] * (len(basis) + 1)
-        root = x0 + k
-        for i, b in enumerate(basis):
-            nxt[i + 1] += b
-            nxt[i] -= b * root
-        basis = nxt
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    return coeffs
 
 
 def _poly_eval(coeffs, x):

@@ -21,12 +21,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from ._enum import binom, bounded_tails, monomials_of_degree, weighted_vectors
-from .exact import MPoly, SparseMat, Echelon, format_rat
-from .tensormod import ModuleDescriptor, act_e, act_word, monomial
+from ._enum import bounded_tails, monomials_of_degree, weighted_vectors
+from .exact import MPoly, SparseMat, Echelon, format_rat, interpolate
+from .tensormod import ModuleDescriptor, graded_dimension, word_vectors
 
 __all__ = [
-    "PartitionVector",
     "GeneratorSet",
     "SearchExhaustedError",
     "ResourceLimitError",
@@ -59,26 +58,6 @@ class SearchExhaustedError(RuntimeError):
 
 class ResourceLimitError(RuntimeError):
     """A configured size bound was exceeded."""
-
-
-@dataclass(frozen=True)
-class PartitionVector:
-    """Exponent vector rho of a word e_1^(rho_1) ... e_r^(rho_r)."""
-
-    rho: tuple
-
-    def __post_init__(self):
-        if any(x < 0 for x in self.rho):
-            raise ValueError("negative word exponent")
-        object.__setattr__(self, "rho", tuple(int(x) for x in self.rho))
-
-    @property
-    def weight(self) -> int:
-        return sum((i + 1) * b for i, b in enumerate(self.rho))
-
-    @property
-    def length(self) -> int:
-        return sum(self.rho)
 
 
 @dataclass(frozen=True)
@@ -122,22 +101,26 @@ def newton_matrix(r: int, lam, mu) -> SparseMat:
     equal count in every degree (the free-module count identity), asserted
     here before returning.
     """
-    mat, _, _ = _newton_data(r, lam, mu)
+    mat, den, cols = _newton_data(r, lam, mu)
+    for (i, j), c in mat.entries.items():
+        mat.entries[i, j] = c / den ** sum(cols[j][0])
     return mat
 
 
 def _newton_data(r, lam, mu):
+    """(integer Newton matrix, den, columns): column (rho, a) holds
+    den**length(rho) times the exact one, as word_vectors yields it."""
     desc = ModuleDescriptor(r, tuple(lam), tuple(mu))
     rows = monomials_of_degree(r, r)
     row_of = {expo: i for i, expo in enumerate(rows)}
     cols = _column_index(r, r)
     assert len(cols) == len(rows), "count identity violated"
+    vectors = dict(word_vectors(desc, None, r))
     mat = SparseMat(len(rows), len(cols))
     for j, (rho, a) in enumerate(cols):
-        vec = act_word(rho, monomial(desc, a))
-        for expo, coeff in vec.terms.items():
+        for expo, coeff in vectors[a, rho].items():
             mat[row_of[expo], j] = coeff
-    return mat, rows, cols
+    return mat, desc.den, cols
 
 
 @lru_cache(maxsize=16)
@@ -178,8 +161,9 @@ def shift_determinant_value(r: int, lam, mu) -> Fraction:
     i.e. det(newton matrix) / det(power basis matrix)."""
     if r == 0:
         return Fraction(1)
-    mat, _, _ = _newton_data(r, lam, mu)
-    return mat.det() / _power_basis_det(r)
+    mat, den, cols = _newton_data(r, lam, mu)
+    degree = sum(sum(rho) for rho, _ in cols)
+    return mat.det() / (den**degree * _power_basis_det(r))
 
 
 def shift_determinant(r: int, lam, mu, max_r: int = MAX_SYMBOLIC_R) -> MPoly:
@@ -204,74 +188,33 @@ def shift_determinant(r: int, lam, mu, max_r: int = MAX_SYMBOLIC_R) -> MPoly:
     for t in range(degree + 1):
         shifted = tuple(m + t for m in mu)
         values.append(shift_determinant_value(r, lam, shifted))
-    coeffs = _interpolate(values)
+    coeffs = interpolate(values)
     return MPoly(("N",), {(i,): c for i, c in enumerate(coeffs)})
-
-
-def _interpolate(values):
-    """Coefficients of the unique polynomial through (i, values[i])."""
-    n = len(values)
-    table = [list(values)]
-    for k in range(1, n):
-        prev = table[-1]
-        table.append(
-            [(prev[i + 1] - prev[i]) / k for i in range(len(prev) - 1)]
-        )
-    # Newton forward form sum_k dd_k * x(x-1)...(x-k+1)/1 with dd_k = table[k][0]
-    coeffs = [Fraction(0)] * n
-    basis = [Fraction(1)]  # falling-factorial product, dense coefficients
-    for k in range(n):
-        dd = table[k][0]
-        for i, b in enumerate(basis):
-            coeffs[i] += dd * b
-        nxt = [Fraction(0)] * (len(basis) + 1)
-        for i, b in enumerate(basis):  # multiply by (x - k)
-            nxt[i + 1] += b
-            nxt[i] -= b * k
-        basis = nxt
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    return coeffs
 
 
 # ---------------------------------------------------------------------------
 # graded-basis certificates
 
 
-def _slice_vectors(desc: ModuleDescriptor, w: int, d: int = 1, generators=None):
-    """Deterministic list of (label, expansion dict) for the weight-w word
-    family: words in e_d, e_2d, ..., e_rd applied either to the tail
-    monomials z^a, a_i < i (generators=None) or to given generator
-    exponents."""
-    r = desc.r
-    out = []
-    if generators is None:
-        sources = [(a, sum(a)) for j in range(w + 1) for a in bounded_tails(r, j)]
-    else:
-        sources = [(tuple(s), sum(s)) for s in generators]
-    for a, wa in sources:
-        rem = w - wa
-        if rem < 0 or rem % d:
-            continue
-        for b in weighted_vectors(r, rem // d):
-            vec = monomial(desc, a)
-            for k in range(r, 0, -1):
-                for _ in range(b[k - 1]):
-                    vec = act_e(k * d, vec)
-                    if vec.is_zero():
-                        break
-            out.append(((a, b), vec.terms))
-    return out
-
-
-def _slice_rank(vectors):
-    """Rank of a list of (label, dict) expansion vectors; sparse first."""
-    ordered = sorted(vectors, key=lambda lv: (len(lv[1]), lv[0]))
-    ech = Echelon()
-    for _, terms in ordered:
-        if terms:
-            ech.insert(terms)
-    return ech.rank
+def _slice_entries(desc, sources, cutoff, d=1, basis=False):
+    """Per-weight rank entries of the word family on the sources (None: the
+    tail monomials) and their joint verdict: full rank in every slice, and
+    with basis=True exactly as many candidates as the slice dimension.
+    Sparse vectors are inserted first."""
+    weights = []
+    for w in range(cutoff + 1):
+        dim = graded_dimension(desc, w)
+        vectors = word_vectors(desc, sources, w, d)
+        ech = Echelon()
+        for _, terms in sorted(vectors, key=lambda lv: (len(lv[1]), lv[0])):
+            if terms:
+                ech.insert(terms)
+        rank = ech.rank
+        ok = rank == dim and (len(vectors) == dim or not basis)
+        weights.append(
+            {"weight": w, "dimension": dim, "candidates": len(vectors), "rank": rank, "ok": ok}
+        )
+    return weights, all(entry["ok"] for entry in weights)
 
 
 def graded_basis_certificate(r: int, lam, mu, N, cutoff: int) -> dict:
@@ -291,23 +234,7 @@ def graded_basis_certificate(r: int, lam, mu, N, cutoff: int) -> dict:
     lam = tuple(Fraction(x) for x in lam)
     mu = tuple(Fraction(x) for x in mu)
     shifted = ModuleDescriptor(r, lam, tuple(m + s for m, s in zip(mu, N)))
-    weights = []
-    verdict = True
-    for w in range(cutoff + 1):
-        dim = binom(w + r - 1, r - 1) if r > 0 else (1 if w == 0 else 0)
-        vectors = _slice_vectors(shifted, w)
-        rank = _slice_rank(vectors)
-        ok = len(vectors) == dim and rank == dim
-        verdict = verdict and ok
-        weights.append(
-            {
-                "weight": w,
-                "dimension": dim,
-                "candidates": len(vectors),
-                "rank": rank,
-                "ok": ok,
-            }
-        )
+    weights, verdict = _slice_entries(shifted, None, cutoff, basis=True)
     return {
         "r": r,
         "lambda": [format_rat(x) for x in lam],
@@ -350,18 +277,22 @@ def find_good_shift(
     mu,
     bound: int = DEFAULT_BOUND,
     cutoff: int = DEFAULT_CUTOFF,
-) -> tuple:
+    certificate: bool = False,
+):
     """Search for a shift N making the word family a verified graded basis.
 
     Strategy: diagonal shifts (t, ..., t) for t = 0..bound first, then greedy
     per-coordinate increments driven by the first vanishing determinant along
     the prefix coordinate rays.  Every returned shift is certified by
-    verify_graded_basis at the cutoff; determinant ray checks run over the
+    graded_basis_certificate at the cutoff; determinant ray checks run over the
     window k = 0..cutoff, the only range that can touch verified weights.
     Raises SearchExhaustedError with the blocking report when the budget runs
-    out.
+    out.  With certificate=True returns (N, the graded_basis_certificate
+    that proved N) instead of N.
     """
     if r == 0:
+        if certificate:
+            return (), graded_basis_certificate(r, lam, mu, (), cutoff)
         return ()
     window = cutoff
     failures = []
@@ -371,16 +302,18 @@ def find_good_shift(
         if obstruction is not None:
             failures.append({"N": list(N), "vanishing": obstruction})
             continue
-        if verify_graded_basis(r, lam, mu, N, cutoff):
-            return N
+        cert = graded_basis_certificate(r, lam, mu, N, cutoff)
+        if cert["verdict"]:
+            return (N, cert) if certificate else N
         failures.append({"N": list(N), "vanishing": None, "rank_failure": True})
     N = [0] * r
     budget = bound * r + r
     for _ in range(budget):
         obstruction = _ray_obstruction(r, lam, mu, tuple(N), window)
         if obstruction is None:
-            if verify_graded_basis(r, lam, mu, tuple(N), cutoff):
-                return tuple(N)
+            cert = graded_basis_certificate(r, lam, mu, tuple(N), cutoff)
+            if cert["verdict"]:
+                return (tuple(N), cert) if certificate else tuple(N)
             failures.append({"N": list(N), "vanishing": None, "rank_failure": True})
             i = min(range(r), key=lambda j: N[j])
             N[i] += 1
@@ -455,23 +388,7 @@ def spanning_certificate(
         raise ValueError("dilation degree must be >= 1")
     desc = ModuleDescriptor(r, tuple(lam), tuple(mu))
     exponents = list(GeneratorSet(tuple(tuple(s) for s in S)))
-    weights = []
-    verdict = True
-    for w in range(cutoff + 1):
-        dim = binom(w + r - 1, r - 1) if r > 0 else (1 if w == 0 else 0)
-        vectors = _slice_vectors(desc, w, d=d, generators=exponents)
-        rank = _slice_rank(vectors)
-        ok = rank == dim
-        verdict = verdict and ok
-        weights.append(
-            {
-                "weight": w,
-                "dimension": dim,
-                "candidates": len(vectors),
-                "rank": rank,
-                "ok": ok,
-            }
-        )
+    weights, verdict = _slice_entries(desc, exponents, cutoff, d)
     return {
         "r": r,
         "lambda": [format_rat(Fraction(x)) for x in lam],

@@ -15,15 +15,20 @@ The same element type also serves the coordinatewise action of the direct
 sum of one-variable algebras (one tensor factor each), used by the weight
 decomposition of the coinduced modules: act_e_coordinate touches a single
 tensor factor.
+
+word_vectors, the integer kernel behind every word family, scales the
+parameters by their common denominator den: a word of length n yields den**n
+times its exact vector, which changes no rank, span or primitive relation.
 """
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ._enum import binom
+from ._enum import binom, bounded_tails
 from .exact import format_rat
 from .liealg import LieElement, bracket
 
@@ -35,6 +40,7 @@ __all__ = [
     "act_e",
     "act_e_coordinate",
     "act_word",
+    "word_vectors",
     "act_lie",
     "module_axiom_check",
     "shift_submodule",
@@ -60,6 +66,11 @@ class ModuleDescriptor:
             raise ValueError("parameter vectors must have length r")
         object.__setattr__(self, "lam", tuple(Fraction(x) for x in self.lam))
         object.__setattr__(self, "mu", tuple(Fraction(x) for x in self.mu))
+
+    @property
+    def den(self) -> int:
+        """Common denominator of lambdabar and mubar."""
+        return math.lcm(*(x.denominator for x in self.lam + self.mu))
 
     def to_dict(self):
         return {
@@ -218,16 +229,83 @@ def act_e_coordinate(k: int, i: int, m: ModuleElement) -> ModuleElement:
     return out
 
 
+def _letter_constants(desc: ModuleDescriptor, letters: int, d: int = 1):
+    """den and, per letter k = 1..letters, the integers
+    base_i = den * (mu_i + (kd+1) lambda_i): den * e_(kd) multiplies z^abar
+    by den * a_i + base_i into z_i^(kd) z^abar."""
+    den = desc.den
+    return den, [
+        tuple(int(den * (m + (k * d + 1) * l)) for l, m in zip(desc.lam, desc.mu))
+        for k in range(1, letters + 1)
+    ]
+
+
+def _act_int(vec, step, den, base):
+    """den * e_step on an integer vector {abar: int}."""
+    out = {}
+    for expo, c in vec.items():
+        for i, b in enumerate(base):
+            f = den * expo[i] + b
+            if f:
+                key = expo[:i] + (expo[i] + step,) + expo[i + 1 :]
+                s = out.get(key, 0) + c * f
+                if s:
+                    out[key] = s
+                else:
+                    del out[key]
+    return out
+
+
 def act_word(rho, m: ModuleElement) -> ModuleElement:
     """Apply the left-normalized word e_1^(rho_1) ... e_r^(rho_r): as an
     operator product the rightmost factor acts first, so e_r powers are
-    applied first and e_1 powers last."""
-    out = m
+    applied first and e_1 powers last.  The single-word case of the
+    integer kernel behind word_vectors."""
+    den, bases = _letter_constants(m.descriptor, len(rho))
+    q = math.lcm(*(c.denominator for c in m.terms.values()))
+    vec = {e: int(c * q) for e, c in m.terms.items()}
     for k in range(len(rho), 0, -1):
         for _ in range(rho[k - 1]):
-            out = act_e(k, out)
-            if out.is_zero():
-                return out
+            vec = _act_int(vec, k, den, bases[k - 1])
+    scale = q * den ** sum(rho)
+    return m._like({e: Fraction(c, scale) for e, c in vec.items()})
+
+
+def word_vectors(desc: ModuleDescriptor, sources, w: int, d: int = 1):
+    """Labelled integer vectors of the weight-w word family of T^r.
+
+    For each source exponent a, in the given order (sources=None: the tail
+    monomials z^a, a_i < i, of weight <= w, by weight then lex), and each
+    b with d * sum(i * b_i) == w - |a|, lex increasing, yields
+    ((a, b), {abar: int}): den**sum(b) times the exact expansion of
+    e_d^(b_1) ... e_rd^(b_r) z^a, with den = desc.den.  The words of one
+    source are grown depth-first from their rightmost letter, so every
+    distinct word suffix is computed by exactly one integer action and
+    shared by all the words that end in it.
+    """
+    r = desc.r
+    den, bases = _letter_constants(desc, r, d)
+    if sources is None:
+        sources = [a for j in range(w + 1) for a in bounded_tails(r, j)]
+    out = []
+
+    def grow(k, rem, vec, suffix):
+        # suffix = (b_(k+1), ..., b_r); letters k, k-1, ..., 1 remain
+        if k == 0:
+            if rem == 0:
+                words.append((suffix, vec))
+            return
+        for c in range(rem // k + 1):
+            if c:
+                vec = _act_int(vec, k * d, den, bases[k - 1])
+            grow(k - 1, rem - k * c, vec, (c,) + suffix)
+
+    for a in map(tuple, sources):
+        rem = w - sum(a)
+        if rem >= 0 and rem % d == 0:
+            words = []
+            grow(r, rem // d, {a: 1}, ())
+            out.extend(((a, b), vec) for b, vec in sorted(words, key=lambda bv: bv[0]))
     return out
 
 

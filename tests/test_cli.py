@@ -7,6 +7,7 @@ import os
 
 import pytest
 
+from vflie import cli, spanning
 from vflie.cli import main
 
 
@@ -127,6 +128,34 @@ def test_usage_errors_exit_64():
     assert run_cli(["homology", "--algebra", "Q:1"])[0] == 64
     assert run_cli(["weights", "--lam", "1,2"])[0] == 64
     assert run_cli(["specht", "--generators", "/does/not/exist.json"])[0] == 64
+
+
+def test_zero_denominator_exit_64():
+    code, out, err = run_cli(["phi", "--r", "1", "--lam", "1/0", "--mu", "0"])
+    assert code == 64
+    assert out == ""
+    assert "Traceback" not in err
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_shift_certificate_computed_once(monkeypatch):
+    # lam = 1 needs no shift: the search proves N = (0,) at t = 0
+    expected = json.dumps(
+        spanning.graded_basis_certificate(1, (1,), (0,), (0,), 6), sort_keys=True, indent=2
+    ) + "\n"
+    real = spanning.graded_basis_certificate
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(spanning, "graded_basis_certificate", counting)
+    monkeypatch.setattr(cli, "graded_basis_certificate", counting, raising=False)
+    code, out, _ = run_cli(["shift", "--r", "1", "--lam", "1", "--mu", "0", "--cutoff", "6"])
+    assert code == 0
+    assert len(calls) == 1
+    assert out == expected
 
 
 def test_limit_exit_2():

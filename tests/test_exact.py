@@ -12,6 +12,7 @@ from vflie.exact import (
     SparseMat,
     det_symbolic,
     format_rat,
+    interpolate,
     kernel_basis,
     parse_rat,
     rank_of_vectors,
@@ -24,6 +25,19 @@ def test_parse_format_roundtrip():
     assert parse_rat(" 3 / 4 ") == Fraction(3, 4)
     with pytest.raises(ValueError):
         parse_rat("1.5")
+    with pytest.raises(ValueError):
+        parse_rat("1/0")
+
+
+def test_interpolate_at_offset():
+    coeffs = [Fraction(3), Fraction(-1), Fraction(0), Fraction(1, 2)]
+
+    def f(x):
+        return sum(c * x**i for i, c in enumerate(coeffs))
+
+    for x0 in (0, 5, -2):
+        assert interpolate([f(x0 + i) for i in range(6)], x0) == coeffs
+    assert interpolate([Fraction(0)] * 3) == []
 
 
 def test_mpoly_arithmetic():

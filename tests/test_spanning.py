@@ -1,12 +1,15 @@
 """Shift determinants, graded-basis certificates, spanning generators."""
 
+import itertools
 import random
 from fractions import Fraction
 from math import comb
 
 import pytest
 
+from vflie._enum import monomials_of_degree
 from vflie.exact import MPoly
+from vflie.tensormod import ModuleDescriptor, act_word, monomial
 from vflie.spanning import (
     SearchExhaustedError,
     dilated_generators,
@@ -75,6 +78,28 @@ def test_newton_matrix_rank_trivial_params():
     m = newton_matrix(2, (Fraction(0), Fraction(0)), (Fraction(1), Fraction(1)))
     assert m.rows == 3
     assert m.rank() == 3
+
+
+def test_newton_matrix_fractional_parameters_exact():
+    rng = random.Random(91)
+    for r in (1, 2, 3):
+        lam = tuple(Fraction(2 * rng.randint(-2, 2) + 1, 2) for _ in range(r))
+        mu = tuple(_rand_rat(rng) for _ in range(r))
+        m = newton_matrix(r, lam, mu)
+        desc = ModuleDescriptor(r, lam, mu)
+        rows = monomials_of_degree(r, r)
+        cols = sorted(
+            (rho, a)
+            for a in itertools.product(*(range(i + 1) for i in range(r)))
+            for rho in itertools.product(range(r + 1), repeat=r)
+            if sum(a) + sum((i + 1) * b for i, b in enumerate(rho)) == r
+        )
+        assert (m.rows, m.cols) == (len(rows), len(cols))
+        for j, (rho, a) in enumerate(cols):
+            column = act_word(rho, monomial(desc, a)).terms
+            for i, row in enumerate(rows):
+                assert isinstance(m[i, j], Fraction)
+                assert m[i, j] == column.get(row, 0)
 
 
 def test_find_good_shift_small_cases():

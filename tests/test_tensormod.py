@@ -1,11 +1,13 @@
 """Tensor modules: actions, words, shifts, weight supports."""
 
+import math
 import random
 from fractions import Fraction
 from math import comb
 
 import pytest
 
+from vflie._enum import bounded_tails, weighted_vectors
 from vflie.liealg import LieElement, bracket, e_basis
 from vflie.tensormod import (
     ModuleDescriptor,
@@ -20,6 +22,7 @@ from vflie.tensormod import (
     shift_embed,
     shift_submodule,
     weight_support,
+    word_vectors,
 )
 
 
@@ -48,6 +51,61 @@ def test_act_word_order_matters():
     m = monomial(desc, (0,))
     e2_first = act_e(1, act_e(2, m))
     assert act_word((1, 1), m).terms == e2_first.terms
+
+
+def _fraction_word(desc, a, b, d):
+    """e_d^(b_1) ... e_rd^(b_r) z^a one Fraction act_e at a time."""
+    vec = monomial(desc, a)
+    for k in range(desc.r, 0, -1):
+        for _ in range(b[k - 1]):
+            vec = act_e(k * d, vec)
+    return vec.terms
+
+
+def test_word_vectors_match_fraction_route():
+    rng = random.Random(2024)
+    for trial in range(24):
+        r = rng.randint(1, 4)
+        w = rng.randint(0, 7)
+        d = rng.choice((1, 2))
+        lam = tuple(_rand_rat(rng) for _ in range(r))
+        mu = tuple(_rand_rat(rng) for _ in range(r))
+        desc = ModuleDescriptor(r, lam, mu)
+        den = math.lcm(*(x.denominator for x in lam + mu))
+        if trial % 2:
+            sources = [tuple(rng.randint(0, 3) for _ in range(r)) for _ in range(3)]
+            got = word_vectors(desc, sources, w, d)
+        else:
+            sources = [a for j in range(w + 1) for a in bounded_tails(r, j)]
+            got = word_vectors(desc, None, w, d)
+        expected_labels = [
+            (a, b)
+            for a in sources
+            if sum(a) <= w and (w - sum(a)) % d == 0
+            for b in weighted_vectors(r, (w - sum(a)) // d)
+        ]
+        assert [label for label, _ in got] == expected_labels
+        for (a, b), vec in got:
+            assert all(type(c) is int and c for c in vec.values())
+            scale = den ** sum(b)
+            exact = _fraction_word(desc, a, b, d)
+            assert vec == {e: c * scale for e, c in exact.items()}, (desc, a, b, d)
+
+
+def test_act_word_fractional_element():
+    rng = random.Random(99)
+    for _ in range(10):
+        r = rng.randint(1, 3)
+        desc = ModuleDescriptor(
+            r, tuple(_rand_rat(rng) for _ in range(r)), tuple(_rand_rat(rng) for _ in range(r))
+        )
+        m = monomial(desc, (1,) * r, _rand_rat(rng)) + monomial(desc, (0,) * r, _rand_rat(rng))
+        rho = tuple(rng.randint(0, 2) for _ in range(rng.randint(1, 3)))
+        expected = m
+        for k in range(len(rho), 0, -1):
+            for _ in range(rho[k - 1]):
+                expected = act_e(k, expected)
+        assert act_word(rho, m) == expected
 
 
 def test_module_axiom_random():
