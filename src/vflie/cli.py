@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from math import comb
 
 from .exact import MPoly, format_rat, parse_rat
 from .liealg import AlgebraDescriptor
@@ -102,6 +103,16 @@ def _poly_coeffs(poly: MPoly):
     return out
 
 
+def _check_cutoff(cutoff: int, r: int):
+    """Refuse, before any work, a cutoff whose monomial count up to it in r
+    variables, C(cutoff + r, r), exceeds the default dimension limit."""
+    if cutoff >= 0 and comb(cutoff + r, r) > hm.DEFAULT_DIM_LIMIT:
+        raise ResourceLimitError(
+            "cutoff %d: C(cutoff + %d, %d) monomials exceed the limit %d"
+            % (cutoff, r, r, hm.DEFAULT_DIM_LIMIT)
+        )
+
+
 # -- subcommands
 
 
@@ -126,6 +137,7 @@ def _cmd_phi(args):
 def _cmd_shift(args):
     lam = _rat_vector(args.lam, args.r)
     mu = _rat_vector(args.mu, args.r)
+    _check_cutoff(args.cutoff, args.r)
     N, cert = find_good_shift(
         args.r, lam, mu, bound=args.bound, cutoff=args.cutoff, certificate=True
     )
@@ -142,6 +154,7 @@ def _cmd_shift(args):
 def _cmd_span(args):
     lam = _rat_vector(args.lam, args.r)
     mu = _rat_vector(args.mu, args.r)
+    _check_cutoff(max(args.cutoff, args.gen_cutoff), args.r)
     if args.d == 1:
         S = spanning_generators(args.r, lam, mu, cutoff=args.gen_cutoff, bound=args.bound)
     else:
@@ -160,10 +173,10 @@ def _cmd_span(args):
 def _cmd_hilbert(args):
     lam = _rat_vector(args.lam, args.r)
     mu = _rat_vector(args.mu, args.r)
+    gen_cutoff = max(args.r, DEFAULT_CUTOFF)
+    _check_cutoff(max(args.cutoff, gen_cutoff), args.r)
     desc = ModuleDescriptor(args.r, lam, mu)
-    S = spanning_generators(
-        args.r, lam, mu, cutoff=max(args.r, DEFAULT_CUTOFF), bound=args.bound
-    )
+    S = spanning_generators(args.r, lam, mu, cutoff=gen_cutoff, bound=args.bound)
     pres = associated_graded_presentation(desc, list(S), args.cutoff)
     gb = module_groebner(pres)
     if not groebner_self_test(gb):
@@ -297,6 +310,7 @@ def _load_generators(path: str):
 
 def _cmd_specht(args):
     gens, n = _load_generators(args.generators)
+    _check_cutoff(args.cutoff, n)
     ts = closure_basis(gens, args.cutoff)
     fit = tspace_series(ts)
     payload = {

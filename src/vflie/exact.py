@@ -1,14 +1,28 @@
 """Exact rational arithmetic, multivariate polynomials and sparse linear algebra.
 
-Everything here computes over Q with arbitrary-precision integers.  No
-floating point, no modular shortcuts: ranks, kernels and determinants are
-certificates, so they must be exact.  Rational scalars are stdlib
-``fractions.Fraction``; elimination clears denominators and runs fraction-free
-over the integers with gcd normalization to control coefficient growth.
+Everything here computes over Q with arbitrary-precision integers, with no
+floating point.  Rational scalars are stdlib ``fractions.Fraction``;
+elimination clears denominators and runs fraction-free over the integers with
+gcd normalization to control coefficient growth.
+
+One modular kernel, ``rank_mod_p``, ranks integer vectors over GF(p).  For an
+integer matrix the rank mod p is at most the rank over Q, so callers use it
+only where that inequality proves the exact answer:
+
+1. full rank: a rank mod p equal to the number of vectors or to the
+   dimension of their space is the rank over Q;
+2. d o d = 0: in a chain complex rank d_p + rank d_(p+1) <= dim C_p, so a
+   mod-p rank that meets the bound dim C_p - (a neighbour's mod-p rank) is
+   exact; in particular, two neighbouring mod-p ranks that add up to
+   dim C_p are both exact.
+
+Every other rank falls back to exact elimination (``Echelon``), so every
+rank, kernel and determinant reported is exact.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from fractions import Fraction
 
@@ -23,6 +37,8 @@ __all__ = [
     "SparseMat",
     "Echelon",
     "rank",
+    "rank_mod_p",
+    "PRIME",
     "interpolate",
     "kernel_basis",
     "det_symbolic",
@@ -495,6 +511,50 @@ def rank_of_vectors(vectors) -> int:
     for v in vectors:
         ech.insert(v)
     return ech.rank
+
+
+# the largest prime below 2**30: residues and their products stay small ints
+PRIME = 1073741789
+
+
+def rank_mod_p(vectors, p=PRIME, limit=None) -> int:
+    """Rank over GF(p) of sparse {key: Fraction or int} vectors.
+
+    Each vector is scaled to an integer vector (``_to_int_vector``; a nonzero
+    scalar changes no rank).  Keys are numbered in sorted order and each
+    vector is reduced from its largest key down, against pivot rows
+    normalized to a leading 1; entries are reduced mod p only when they
+    lead.  The result is a lower bound for the rank over Q.  With a limit
+    (an upper bound for the rank over Q, such as the dimension of the space)
+    elimination stops once the rank reaches it, and a result equal to the
+    limit is then the exact rank over Q.
+    """
+    vectors = [_to_int_vector(vec)[0] for vec in vectors]
+    number = {k: i for i, k in enumerate(sorted({k for vec in vectors for k in vec}))}
+    pivots = {}  # leading key -> the rest of its row, residues mod p
+    for vec in vectors:
+        if len(pivots) == limit:
+            break
+        v = {number[k]: c for k, c in vec.items()}
+        heap = [-k for k in v]  # the keys of v, largest first
+        heapq.heapify(heap)
+        while heap:
+            lead = -heapq.heappop(heap)
+            c = v.pop(lead) % p
+            if not c:
+                continue
+            row = pivots.get(lead)
+            if row is None:
+                inv = pow(c, -1, p)
+                pivots[lead] = {k: x * inv % p for k, x in v.items() if x % p}
+                break
+            for k, y in row.items():
+                if k in v:
+                    v[k] -= c * y
+                else:
+                    v[k] = -c * y
+                    heapq.heappush(heap, -k)
+    return len(pivots)
 
 
 # ---------------------------------------------------------------------------

@@ -8,10 +8,24 @@ Chains are C_p = Lambda^p(g) (x) M with the boundary
     + sum_i    (-1)^i     x_1 ^ ... x_i^ ... ^ x_p (x) x_i . m.
 
 Both terms preserve total weight (wedge weight plus module weight), so every
-homology space splits into finite-dimensional weight slices computed by two
-exact ranks.  Supported coefficients: the trivial module for any flavor;
-tensor modules with the diagonal one-variable action for L_d(1), d >= 1; and
-tensor modules with the coordinatewise action for the coordinate-sum flavor.
+homology space splits into finite-dimensional weight slices.  They also
+preserve the finer torus weight in Z^n: the sum of a - e_i over the wedge
+fields x^a d_i plus the module part (0 for trivial coefficients, |a| for
+tensor coefficients of L_d(1), a for coordinatewise ones).  So each slice
+splits further into blocks, each its own subcomplex, and
+
+  dim H_p(w) = sum over blocks t of dim C_p(t) - rank d_p(t) - rank d_(p+1)(t).
+
+Block ranks are taken mod p first (``exact.rank_mod_p``, a lower bound).
+Because d o d = 0, rank d_p(t) <= dim C_(p-1)(t) - rank d_(p-1)(t) and
+rank d_p(t) <= dim C_p(t) - rank d_(p+1)(t); a mod-p rank that meets the
+upper bound these give with its neighbours' mod-p ranks is exact.  Only the
+blocks where the bound stays open are ranked by exact elimination, so every
+table entry is exact.
+
+Supported coefficients: the trivial module for any flavor; tensor modules
+with the diagonal one-variable action for L_d(1), d >= 1; and tensor modules
+with the coordinatewise action for the coordinate-sum flavor.
 """
 
 from __future__ import annotations
@@ -19,27 +33,30 @@ from __future__ import annotations
 import csv
 import io
 import json
-from concurrent.futures import ProcessPoolExecutor
+from bisect import bisect_left
+from contextlib import nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
 
 from ._enum import monomials_of_degree
-from .exact import SparseMat
+from .exact import SparseMat, rank_mod_p, rank_of_vectors
 from .liealg import (
     FLAVOR_COORDINATE_SUM,
     AlgebraDescriptor,
     VFBasis,
     basis_of_weight,
+    basis_up_to_weight,
     bracket_basis,
 )
 from .spanning import ResourceLimitError
-from .tensormod import ModuleDescriptor, ModuleElement, act_e, act_e_coordinate
+from .tensormod import ModuleDescriptor
 
 __all__ = [
     "TrivialCoefficients",
     "TensorCoefficients",
     "ChainBasisElement",
     "chain_basis",
+    "torus_weight",
     "boundary_matrix",
     "homology_dim",
     "homology_table",
@@ -55,14 +72,19 @@ DEFAULT_DIM_LIMIT = 20000
 class TrivialCoefficients:
     """The one-dimensional trivial module k, concentrated in weight 0."""
 
+    scale = 1
+
     def validate(self, alg: AlgebraDescriptor):
         return None
 
     def basis_at_weight(self, w: int):
         return [()] if w == 0 else []
 
-    def act(self, field: VFBasis, expo):
+    def act_scaled(self, field: VFBasis, expo):
         return {}
+
+    def torus_weight(self, n: int, expo):
+        return (0,) * n
 
 
 @dataclass(frozen=True)
@@ -96,13 +118,28 @@ class TensorCoefficients:
             return []
         return [tuple(e) for e in monomials_of_degree(self.descriptor.r, w)]
 
-    def act(self, field: VFBasis, expo):
-        m = ModuleElement(self.descriptor, {tuple(expo): Fraction(1)})
-        if field.n == 1:
-            out = act_e(field.weight, m)
-        else:
-            out = act_e_coordinate(field.weight, field.direction, m)
-        return out.terms
+    @property
+    def scale(self) -> int:
+        """Common denominator of the parameters: act_scaled is integral."""
+        return self.descriptor.den
+
+    def act_scaled(self, field: VFBasis, expo):
+        """scale times field . z^expo, as {exponent: int}: a one-variable
+        field e_k acts on every tensor factor, a coordinate field
+        x_i^(k+1) d_i on factor i only."""
+        desc = self.descriptor
+        k = field.weight
+        out = {}
+        for i in range(desc.r) if field.n == 1 else (field.direction,):
+            c = int(desc.den * (expo[i] + desc.mu[i] + (k + 1) * desc.lam[i]))
+            if c:
+                out[expo[:i] + (expo[i] + k,) + expo[i + 1 :]] = c
+        return out
+
+    def torus_weight(self, n: int, expo):
+        """Torus weight of z^expo in Z^n: (|expo|,) under the diagonal
+        one-variable action, expo under the coordinatewise one."""
+        return (sum(expo),) if n == 1 else tuple(expo)
 
 
 @dataclass(frozen=True)
@@ -161,19 +198,80 @@ def chain_basis(alg: AlgebraDescriptor, coeffs, p: int, w: int):
     return out
 
 
-def _insert_signed(wedge, field):
-    """Insert a field into a strictly increasing wedge.
+def torus_weight(alg: AlgebraDescriptor, coeffs, chain: ChainBasisElement):
+    """Torus weight in Z^n of a chain, preserved by the boundary."""
+    t = list(coeffs.torus_weight(alg.n, chain.expo))
+    for field in chain.wedge:
+        for i, a in enumerate(field.exponent):
+            t[i] += a - (i == field.direction)
+    return tuple(t)
 
-    Returns (new_wedge, sign); (None, 0) when the field already appears.
+
+class _Complex:
+    """The chains of one algebra and coefficient system in integer form.
+
+    Basis fields up to weight w_top are numbered in sort order, so a chain
+    becomes the key (increasing tuple of field numbers, module exponent),
+    and a boundary column becomes {row index: int}: scale times the exact
+    column (scale = the coefficients' common denominator).
     """
-    if field in wedge:
-        return None, 0
-    key = field.sort_key()
-    pos = 0
-    while pos < len(wedge) and wedge[pos].sort_key() < key:
-        pos += 1
-    sign = -1 if pos % 2 else 1
-    return wedge[:pos] + (field,) + wedge[pos:], sign
+
+    def __init__(self, alg: AlgebraDescriptor, coeffs, w_top: int):
+        self.alg, self.coeffs, self.scale = alg, coeffs, coeffs.scale
+        self.fields = basis_up_to_weight(alg, w_top)
+        self.number = {f: i for i, f in enumerate(self.fields)}
+        self._brackets = {}
+        self._actions = {}
+
+    def key(self, chain: ChainBasisElement):
+        return tuple(self.number[f] for f in chain.wedge), chain.expo
+
+    def _bracket(self, i, j):
+        out = self._brackets.get((i, j))
+        if out is None:
+            out = self._brackets[i, j] = tuple(
+                (self.number[f], c) for f, c in bracket_basis(self.fields[i], self.fields[j])
+            )
+        return out
+
+    def _act(self, i, expo):
+        out = self._actions.get((i, expo))
+        if out is None:
+            out = self._actions[i, expo] = tuple(
+                self.coeffs.act_scaled(self.fields[i], expo).items()
+            )
+        return out
+
+    def column(self, key, row_of):
+        """scale * d(chain) over the rows {chain key: index} of row_of, which
+        must hold every chain the boundary reaches: the whole slice below,
+        or the block of the same torus weight."""
+        wedge, expo = key
+        k = len(wedge)
+        out = {}
+        for i1 in range(k):
+            for j1 in range(i1 + 1, k):
+                sign = self.scale if (i1 + j1) % 2 == 0 else -self.scale
+                rest = wedge[:i1] + wedge[i1 + 1 : j1] + wedge[j1 + 1 :]
+                for f, c in self._bracket(wedge[i1], wedge[j1]):
+                    pos = bisect_left(rest, f)
+                    if pos < len(rest) and rest[pos] == f:
+                        continue
+                    row = row_of[rest[:pos] + (f,) + rest[pos:], expo]
+                    out[row] = out.get(row, 0) + (sign if pos % 2 == 0 else -sign) * c
+        for i1 in range(k):
+            sign = -1 if i1 % 2 == 0 else 1
+            rest = wedge[:i1] + wedge[i1 + 1 :]
+            for new_expo, c in self._act(wedge[i1], expo):
+                row = row_of[rest, new_expo]
+                out[row] = out.get(row, 0) + sign * c
+        return {row: c for row, c in out.items() if c}
+
+
+def _field_top(alg: AlgebraDescriptor, p: int, w: int) -> int:
+    """Highest field weight in a chain of C_q(w), q <= p: w, plus p - 1 for
+    W(n), whose weight -1 fields leave room for heavier ones."""
+    return w + max(p - 1, 0) * max(-alg.min_weight, 0)
 
 
 def boundary_matrix(alg: AlgebraDescriptor, coeffs, p: int, w: int) -> SparseMat:
@@ -181,38 +279,18 @@ def boundary_matrix(alg: AlgebraDescriptor, coeffs, p: int, w: int) -> SparseMat
     coeffs.validate(alg)
     cols = chain_basis(alg, coeffs, p, w)
     rows = chain_basis(alg, coeffs, p - 1, w)
-    row_of = {c: i for i, c in enumerate(rows)}
+    cx = _Complex(alg, coeffs, _field_top(alg, p, w))
+    row_of = {cx.key(c): i for i, c in enumerate(rows)}
     mat = SparseMat(len(rows), len(cols))
     for j, chain in enumerate(cols):
-        wedge, expo = chain.wedge, chain.expo
-        k = len(wedge)
-        for i1 in range(k):
-            for j1 in range(i1 + 1, k):
-                sign = (-1) ** ((i1 + 1) + (j1 + 1))
-                rest = tuple(b for t, b in enumerate(wedge) if t != i1 and t != j1)
-                for basis, coeff in bracket_basis(wedge[i1], wedge[j1]):
-                    new_wedge, s2 = _insert_signed(rest, basis)
-                    if new_wedge is None:
-                        continue
-                    target = ChainBasisElement(new_wedge, expo)
-                    ridx = row_of.get(target)
-                    if ridx is None:
-                        continue
-                    mat[ridx, j] = mat[ridx, j] + sign * s2 * coeff
-        for i1 in range(k):
-            sign = (-1) ** (i1 + 1)
-            rest = tuple(b for t, b in enumerate(wedge) if t != i1)
-            for new_expo, coeff in coeffs.act(wedge[i1], expo).items():
-                target = ChainBasisElement(rest, new_expo)
-                ridx = row_of.get(target)
-                if ridx is None:
-                    continue
-                mat[ridx, j] = mat[ridx, j] + sign * coeff
+        for i, c in cx.column(cx.key(chain), row_of).items():
+            mat.entries[i, j] = Fraction(c, cx.scale)
     return mat
 
 
 def homology_dim(alg: AlgebraDescriptor, coeffs, p: int, w: int) -> int:
-    """dim H_p at weight w = dim C_p(w) - rank d_p - rank d_(p+1), exactly."""
+    """dim H_p at weight w = dim C_p(w) - rank d_p - rank d_(p+1), by exact
+    ranks of the whole slice."""
     cp = len(chain_basis(alg, coeffs, p, w))
     if cp == 0:
         return 0
@@ -232,49 +310,80 @@ def homology_table(
     """Exact dims {(p, w): dim H_p(w)} for p <= p_max, w <= w_max.
 
     The table is a finite window, never a completeness statement beyond it.
-    Any chain slice larger than dim_limit raises ResourceLimitError naming
-    the slice.  jobs > 1 distributes boundary ranks over a process pool;
-    results are identical to the serial path.
+    Weights are handled one at a time; a chain slice larger than dim_limit
+    raises ResourceLimitError naming the slice before any rank at its weight
+    is taken.  jobs > 1 distributes block ranks over a process pool; results
+    are identical to the serial path.
     """
     coeffs.validate(alg)
-    dims = {}
-    slices = [(p, w) for w in range(w_max + 1) for p in range(p_max + 2)]
-    for p, w in slices:
-        n = len(chain_basis(alg, coeffs, p, w))
-        dims[(p, w)] = n
-        if n > dim_limit:
-            raise ResourceLimitError(
-                "chain slice (p=%d, w=%d) has dimension %d > limit %d"
-                % (p, w, n, dim_limit)
-            )
-    tasks = [
-        (p, w)
-        for (p, w) in slices
-        if 1 <= p <= p_max + 1 and dims[(p, w)] and dims.get((p - 1, w), 0)
-    ]
-    ranks = {}
-    if jobs > 1:
-        args = [(alg, coeffs, p, w) for (p, w) in tasks]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for (p, w), rank in zip(tasks, pool.map(_rank_task, args)):
-                ranks[(p, w)] = rank
-    else:
-        for p, w in tasks:
-            ranks[(p, w)] = boundary_matrix(alg, coeffs, p, w).rank()
+    cx = _Complex(alg, coeffs, _field_top(alg, p_max + 1, w_max))
     table = {}
-    for w in range(w_max + 1):
-        for p in range(p_max + 1):
-            cp = dims[(p, w)]
-            if cp == 0:
-                table[(p, w)] = 0
-                continue
-            table[(p, w)] = cp - ranks.get((p, w), 0) - ranks.get((p + 1, w), 0)
+    if jobs > 1:
+        # imported here: it is a fifth of the package's import time
+        from concurrent.futures import ProcessPoolExecutor
+
+        pool_context = ProcessPoolExecutor(max_workers=jobs)
+    else:
+        pool_context = nullcontext()
+    with pool_context as pool:
+        run = pool.map if pool else map
+        for w in range(w_max + 1):
+            table.update(_weight_table(cx, p_max, w, dim_limit, run))
     return table
 
 
-def _rank_task(args):
-    alg, coeffs, p, w = args
-    return boundary_matrix(alg, coeffs, p, w).rank()
+def _weight_table(cx: _Complex, p_max: int, w: int, dim_limit: int, run):
+    """{(p, w): dim H_p(w)} for p <= p_max at one weight; run maps a rank
+    function over block vector families."""
+    blocks = []  # per p: {torus weight: [chain keys]}
+    for p in range(p_max + 2):
+        basis = chain_basis(cx.alg, cx.coeffs, p, w)
+        if len(basis) > dim_limit:
+            raise ResourceLimitError(
+                "chain slice (p=%d, w=%d) has dimension %d > limit %d"
+                % (p, w, len(basis), dim_limit)
+            )
+        split = {}
+        for chain in basis:
+            split.setdefault(torus_weight(cx.alg, cx.coeffs, chain), []).append(cx.key(chain))
+        blocks.append(split)
+
+    def dim(p, t):
+        return len(blocks[p].get(t, ())) if p < len(blocks) else 0
+
+    def rank(p, t):
+        return ranks.get((p, t), 0)
+
+    # d_p on block t maps the columns C_p(t) to the rows C_(p-1)(t).  Mod-p
+    # ranks go up in p, each stopping at the bound the rank below gives; a
+    # rank that reaches its bound is exact.
+    families, ranks = {}, {}
+    for p in range(1, p_max + 2):
+        level = {}
+        for t, cols in blocks[p].items():
+            rows = blocks[p - 1].get(t)
+            if rows:
+                row_of = {key: i for i, key in enumerate(rows)}
+                family = sorted((cx.column(key, row_of) for key in cols), key=len)
+                families[p, t] = family
+                level[p, t] = (family, min(len(rows) - rank(p - 1, t), len(cols)))
+        ranks.update(zip(level, run(_rank_task, level.values())))
+    open_blocks = [
+        (p, t)
+        for (p, t) in families
+        if rank(p, t) < min(dim(p - 1, t) - rank(p - 1, t), dim(p, t) - rank(p + 1, t))
+    ]
+    ranks.update(zip(open_blocks, run(rank_of_vectors, [families[b] for b in open_blocks])))
+    return {
+        (p, w): sum(len(chains) - rank(p, t) - rank(p + 1, t) for t, chains in blocks[p].items())
+        for p in range(p_max + 1)
+    }
+
+
+def _rank_task(task):
+    """Mod-p rank of a (block family, upper bound) pair."""
+    family, limit = task
+    return rank_mod_p(family, limit=limit)
 
 
 def table_to_csv(table, p_max: int, w_max: int) -> str:

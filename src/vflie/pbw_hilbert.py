@@ -14,6 +14,7 @@ Hilbert series with denominator dividing prod (1 - t^i).
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -233,9 +234,9 @@ def module_groebner(
             continue
         lt = _leading_term(vec, weights)
         basis.append((vec, lt[0], lt[1]))
-    pairs = [(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))]
+    pairs = deque((i, j) for i in range(len(basis)) for j in range(i + 1, len(basis)))
     while pairs:
-        i, j = pairs.pop(0)
+        i, j = pairs.popleft()
         (vi, (pi, ei), ci) = basis[i]
         (vj, (pj, ej), cj) = basis[j]
         if pi != pj:

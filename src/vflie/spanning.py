@@ -22,7 +22,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from ._enum import bounded_tails, monomials_of_degree, weighted_vectors
-from .exact import MPoly, SparseMat, Echelon, format_rat, interpolate
+from .exact import MPoly, SparseMat, format_rat, interpolate, rank_mod_p, rank_of_vectors
 from .tensormod import ModuleDescriptor, graded_dimension, word_vectors
 
 __all__ = [
@@ -158,7 +158,15 @@ def _power_basis_det(r: int) -> Fraction:
 def shift_determinant_value(r: int, lam, mu) -> Fraction:
     """The degree-r slice determinant at numeric parameters: determinant of
     the endomorphism p_rho z^a -> act_word(rho, z^a) of the degree-r slice,
-    i.e. det(newton matrix) / det(power basis matrix)."""
+    i.e. det(newton matrix) / det(power basis matrix).  Memoized: the shift
+    searches of spanning_generators ask for the same values repeatedly."""
+    return _shift_determinant_value(
+        r, tuple(Fraction(x) for x in lam), tuple(Fraction(x) for x in mu)
+    )
+
+
+@lru_cache(maxsize=4096)
+def _shift_determinant_value(r, lam, mu):
     if r == 0:
         return Fraction(1)
     mat, den, cols = _newton_data(r, lam, mu)
@@ -200,16 +208,21 @@ def _slice_entries(desc, sources, cutoff, d=1, basis=False):
     """Per-weight rank entries of the word family on the sources (None: the
     tail monomials) and their joint verdict: full rank in every slice, and
     with basis=True exactly as many candidates as the slice dimension.
-    Sparse vectors are inserted first."""
+    Sparse vectors are eliminated first.  A rank mod p equal to the slice
+    dimension proves full rank over Q; any other slice is ranked exactly,
+    so the reported rank is always the rank over Q."""
     weights = []
     for w in range(cutoff + 1):
         dim = graded_dimension(desc, w)
         vectors = word_vectors(desc, sources, w, d)
-        ech = Echelon()
-        for _, terms in sorted(vectors, key=lambda lv: (len(lv[1]), lv[0])):
-            if terms:
-                ech.insert(terms)
-        rank = ech.rank
+        family = [
+            terms
+            for _, terms in sorted(vectors, key=lambda lv: (len(lv[1]), lv[0]))
+            if terms
+        ]
+        rank = rank_mod_p(family, limit=dim)
+        if rank != dim:
+            rank = rank_of_vectors(family)
         ok = rank == dim and (len(vectors) == dim or not basis)
         weights.append(
             {"weight": w, "dimension": dim, "candidates": len(vectors), "rank": rank, "ok": ok}

@@ -4,6 +4,9 @@ import contextlib
 import io
 import json
 import os
+import subprocess
+import sys
+import time
 
 import pytest
 
@@ -168,3 +171,28 @@ def test_limit_exit_2():
         ["homology", "--algebra", "L1:1", "--p-max", "2", "--w-max", "9", "--dim-limit", "3"]
     )
     assert code == 2
+
+
+def test_huge_cutoff_refused_at_once(tmp_path):
+    gens = tmp_path / "gens.json"
+    gens.write_text(json.dumps([{"1,1": "1"}]))
+    cases = [
+        ["span", "--r", "1", "--lam", "0", "--mu", "0", "--cutoff", "100000000"],
+        ["span", "--r", "1", "--lam", "0", "--mu", "0", "--gen-cutoff", "100000000"],
+        ["shift", "--r", "3", "--lam", "0,0,0", "--mu", "0,0,0", "--cutoff", "100"],
+        ["hilbert", "--r", "2", "--lam", "0,0", "--mu", "0,0", "--cutoff", "1000"],
+        ["specht", "--generators", str(gens), "--cutoff", "100000000"],
+    ]
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    for argv in cases:
+        # in a child first: without the guard these runs do not end
+        proc = subprocess.run(
+            [sys.executable, "-m", "vflie.cli"] + argv, capture_output=True, env=env, timeout=20
+        )
+        assert proc.returncode == 2, argv
+        start = time.perf_counter()
+        code, out, err = run_cli(argv)
+        assert time.perf_counter() - start < 1.0, argv
+        assert code == 2 and out == "", argv
+        assert "cutoff" in err and "20000" in err, argv

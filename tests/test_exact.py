@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from vflie.exact import (
+    PRIME,
     Echelon,
     MPoly,
     SparseMat,
@@ -15,6 +16,7 @@ from vflie.exact import (
     interpolate,
     kernel_basis,
     parse_rat,
+    rank_mod_p,
     rank_of_vectors,
 )
 
@@ -204,3 +206,41 @@ def test_rank_of_vectors():
         {1: Fraction(2)},  # dependent on the first two
     ]
     assert rank_of_vectors(vecs) == 2
+
+
+def _random_sparse_family(rng, rational):
+    nvecs, nkeys = rng.randint(1, 9), rng.randint(1, 9)
+    vecs = []
+    for _ in range(nvecs):
+        vec = {}
+        for k in rng.sample(range(nkeys), rng.randint(0, nkeys)):
+            c = rng.choice((-6, -3, -2, -1, 1, 2, 3, 6, 9))
+            vec[k] = Fraction(c, rng.choice((1, 2, 3, 5))) if rational else c
+        vecs.append(vec)
+    return vecs
+
+
+def test_rank_mod_p_bounds_exact_rank():
+    rng = random.Random(2024)
+    fired = dropped = 0
+    for trial in range(400):
+        vecs = _random_sparse_family(rng, rational=trial % 2 == 1)
+        exact = rank_of_vectors(vecs)
+        full = min(len(vecs), len({k for v in vecs for k in v}))
+        for p in (3, PRIME):
+            r = rank_mod_p(vecs, p)
+            assert r <= exact
+            if r == full:  # the full-rank rule proves the rank over Q
+                assert r == exact
+                fired += 1
+            dropped += r < exact
+            for limit in range(full + 1):
+                assert rank_mod_p(vecs, p, limit=limit) == min(limit, r)
+    assert fired > 200 and dropped > 10  # both outcomes are exercised
+
+
+def test_rank_mod_p_scales_each_vector():
+    # {1/3, 2/3} scales to {1, 2}: rank 1, and 3 is not lost mod 3
+    vecs = [{0: Fraction(1, 3), 1: Fraction(2, 3)}, {0: 2, 1: 4}]
+    assert rank_mod_p(vecs, 3) == 1 == rank_of_vectors(vecs)
+    assert rank_mod_p([{0: 3, 1: 6}], 3) == 0  # a multiple of p vanishes

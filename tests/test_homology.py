@@ -1,9 +1,11 @@
 """Chevalley-Eilenberg homology: boundaries, tables, coefficient systems."""
 
+import functools
 from fractions import Fraction
 
 import pytest
 
+from vflie import exact, homology
 from vflie.homology import (
     ChainBasisElement,
     TensorCoefficients,
@@ -14,6 +16,7 @@ from vflie.homology import (
     homology_table,
     table_to_csv,
     table_to_json,
+    torus_weight,
 )
 from vflie.liealg import AlgebraDescriptor
 from vflie.spanning import ResourceLimitError
@@ -90,6 +93,10 @@ def test_parallel_matches_serial():
     serial = homology_table(L1, TRIV, 2, 8, jobs=1)
     parallel = homology_table(L1, TRIV, 2, 8, jobs=2)
     assert serial == parallel
+    two_variables = AlgebraDescriptor(2, d=1, flavor="L")
+    assert homology_table(two_variables, TRIV, 2, 6, jobs=2) == homology_table(
+        two_variables, TRIV, 2, 6
+    )
 
 
 def test_euler_characteristic_per_weight():
@@ -138,3 +145,69 @@ def test_csv_and_json_rendering():
     json_text = table_to_json(L1, table, 1, 3)
     assert '"algebra": "L1:1"' in json_text
     assert json_text.endswith("\n")
+
+
+L1_2 = AlgebraDescriptor(2, d=1, flavor="L")
+W1 = AlgebraDescriptor(1, d=0, flavor="W")
+LSUM2 = AlgebraDescriptor(2, d=1, flavor="Lsum")
+LSUM2_TENSOR = TensorCoefficients(
+    ModuleDescriptor(2, (Fraction(1, 2), Fraction(-1)), (Fraction(1, 3), Fraction(2)))
+)
+L1_TENSOR = TensorCoefficients(ModuleDescriptor(1, (Fraction(1, 2),), (Fraction(-1, 3),)))
+
+# (algebra, coefficients, p_max, w_max) windows for the certified table
+WINDOWS = (
+    (L1, TRIV, 3, 12),
+    (L2, TRIV, 3, 14),
+    (L1_2, TRIV, 3, 6),
+    (W1, TRIV, 3, 6),
+    (LSUM2, LSUM2_TENSOR, 3, 6),
+    (L1, L1_TENSOR, 3, 8),
+)
+
+
+@pytest.mark.parametrize("prime", [3, exact.PRIME])
+def test_certified_table_matches_exact_ranks(monkeypatch, prime):
+    # mod 3 many block ranks drop, so the exact fallback has to carry them
+    monkeypatch.setattr(homology, "rank_mod_p", functools.partial(exact.rank_mod_p, p=prime))
+    fallbacks = []
+    real = homology.rank_of_vectors
+
+    def counting(vectors):
+        fallbacks.append(len(vectors))
+        return real(vectors)
+
+    monkeypatch.setattr(homology, "rank_of_vectors", counting)
+    for alg, coeffs, p_max, w_max in WINDOWS:
+        # the reference: exact ranks of whole weight slices
+        expected = {
+            (p, w): homology_dim(alg, coeffs, p, w)
+            for p in range(p_max + 1)
+            for w in range(w_max + 1)
+        }
+        assert homology_table(alg, coeffs, p_max, w_max) == expected, alg.label()
+    if prime == 3:
+        assert len(fallbacks) > 20
+
+
+def test_boundary_preserves_torus_weight():
+    for alg, coeffs, p_max, w_max in WINDOWS:
+        for w in range(w_max + 1):
+            for p in range(1, p_max + 2):
+                rows = chain_basis(alg, coeffs, p - 1, w)
+                cols = chain_basis(alg, coeffs, p, w)
+                mat = boundary_matrix(alg, coeffs, p, w)
+                for (i, j), v in mat.entries.items():
+                    assert v != 0
+                    assert torus_weight(alg, coeffs, rows[i]) == torus_weight(
+                        alg, coeffs, cols[j]
+                    ), (alg.label(), p, w)
+
+
+def test_boundary_squares_to_zero_two_variables():
+    for alg, coeffs, w_max in ((L1_2, TRIV, 6), (LSUM2, LSUM2_TENSOR, 7)):
+        for p in (1, 2, 3):
+            for w in range(w_max + 1):
+                _assert_zero(
+                    boundary_matrix(alg, coeffs, p, w) * boundary_matrix(alg, coeffs, p + 1, w)
+                )

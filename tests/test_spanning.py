@@ -1,5 +1,6 @@
 """Shift determinants, graded-basis certificates, spanning generators."""
 
+import functools
 import itertools
 import random
 from fractions import Fraction
@@ -7,6 +8,7 @@ from math import comb
 
 import pytest
 
+from vflie import exact, spanning
 from vflie._enum import monomials_of_degree
 from vflie.exact import MPoly
 from vflie.tensormod import ModuleDescriptor, act_word, monomial
@@ -169,3 +171,65 @@ def test_spanning_certificate_dilated_shape():
     cert = spanning_certificate(S, 1, (Fraction(0),), (Fraction(0),), 9, d=3)
     assert cert["d"] == 3
     assert cert["verdict"]
+
+
+CERTIFICATE_CASES = (
+    # (r, lam, mu, N, cutoff): two proving shifts and two failing ones
+    (2, (0, 0), (0, 0), (1, 1), 7),
+    (3, (Fraction(1, 2), -1, 0), (0, Fraction(1, 3), -2), (2, 2, 2), 6),
+    (2, (0, 0), (0, 0), (0, 0), 5),
+    (2, (1, 0), (-2, 0), (0, 1), 6),
+)
+
+
+def _certificates():
+    out = []
+    for r, lam, mu, N, cutoff in CERTIFICATE_CASES:
+        out.append(graded_basis_certificate(r, lam, mu, N, cutoff))
+        S = [tuple(N[i] + (j == i) for j in range(r)) for i in range(r)] + [tuple(N)]
+        out.append(spanning_certificate(S, r, lam, mu, cutoff))
+        out.append(spanning_certificate(S, r, lam, mu, cutoff, d=2))
+    return out
+
+
+def test_certificates_match_exact_ranks(monkeypatch):
+    fallbacks = []
+    real = spanning.rank_of_vectors
+    monkeypatch.setattr(
+        spanning, "rank_of_vectors", lambda vectors: fallbacks.append(1) or real(vectors)
+    )
+    monkeypatch.setattr(spanning, "rank_mod_p", lambda vectors, limit=None: -1)
+    exact_only = _certificates()  # every slice ranked by exact elimination
+    assert {c["verdict"] for c in exact_only} == {True, False}
+    counts = []
+    for prime in (exact.PRIME, 3):
+        fallbacks.clear()
+        monkeypatch.setattr(spanning, "rank_mod_p", functools.partial(exact.rank_mod_p, p=prime))
+        assert _certificates() == exact_only
+        counts.append(len(fallbacks))
+    # mod 3 some full-rank slices drop, and the exact fallback carries them
+    assert counts[1] > counts[0]
+
+
+def test_shift_determinant_value_memoized(monkeypatch):
+    spanning._shift_determinant_value.cache_clear()
+    real = spanning._newton_data
+    computed = []
+    monkeypatch.setattr(
+        spanning, "_newton_data", lambda *args: computed.append(args) or real(*args)
+    )
+    asked = set()
+    real_value = spanning.shift_determinant_value
+    calls = []
+
+    def counting(r, lam, mu):
+        calls.append(1)
+        asked.add((r, tuple(map(Fraction, lam)), tuple(map(Fraction, mu))))
+        return real_value(r, lam, mu)
+
+    monkeypatch.setattr(spanning, "shift_determinant_value", counting)
+    spanning_generators(3, (Fraction(1, 2), -1, 0), (0, Fraction(1, 3), -2), cutoff=10)
+    assert len(calls) > len(asked)  # the searches repeat their questions
+    assert len(computed) == len(asked)  # each distinct determinant is computed once
+    assert shift_determinant_value(1, (Fraction(1, 2),), (3,)) == Fraction(4)
+    assert shift_determinant_value(1, [Fraction(1, 2)], [Fraction(3)]) == Fraction(4)
