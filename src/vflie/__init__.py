@@ -26,7 +26,6 @@ from .tensormod import (
     ModuleElement,
     WeightVector,
     act_e,
-    act_e_coordinate,
     act_lie,
     act_word,
     decompose_coinduced,

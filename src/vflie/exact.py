@@ -26,22 +26,17 @@ import heapq
 import math
 from fractions import Fraction
 
-Rat = Fraction
-
 __all__ = [
-    "Rat",
     "rat",
     "parse_rat",
     "format_rat",
     "MPoly",
     "SparseMat",
     "Echelon",
-    "rank",
+    "rank_of_vectors",
     "rank_mod_p",
     "PRIME",
     "interpolate",
-    "kernel_basis",
-    "det_symbolic",
 ]
 
 
@@ -153,13 +148,6 @@ class MPoly:
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def is_constant(self) -> bool:
-        return all(sum(e) == 0 for e in self.terms)
-
-    def constant_value(self) -> Fraction:
-        zero = (0,) * len(self.variables)
-        return self.terms.get(zero, Fraction(0))
 
     def total_degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
@@ -316,30 +304,6 @@ class MPoly:
             down[i] -= 1
             terms[tuple(down)] = coeff * expo[i]
         return MPoly(self.variables, terms)
-
-    def divexact(self, divisor: "MPoly") -> "MPoly":
-        """Exact division; raises ValueError if the division leaves a remainder."""
-        self._check(divisor)
-        if divisor.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        dexpo, dcoeff = divisor.leading()
-        rem = {e: c for e, c in self.terms.items()}
-        quo = {}
-        while rem:
-            expo = max(rem, key=deglex_key)
-            diff = tuple(a - b for a, b in zip(expo, dexpo))
-            if any(d < 0 for d in diff):
-                raise ValueError("inexact polynomial division")
-            q = rem[expo] / dcoeff
-            quo[diff] = q
-            for e2, c2 in divisor.terms.items():
-                tgt = tuple(a + b for a, b in zip(diff, e2))
-                s = rem.get(tgt, Fraction(0)) - q * c2
-                if s:
-                    rem[tgt] = s
-                elif tgt in rem:
-                    del rem[tgt]
-        return MPoly(self.variables, quo)
 
     # -- rendering
 
@@ -562,10 +526,10 @@ def rank_mod_p(vectors, p=PRIME, limit=None) -> int:
 
 
 class SparseMat:
-    """Sparse matrix with entries indexed by (row, col).
+    """Sparse matrix of Fractions with entries indexed by (row, col).
 
-    Entries are Fractions for numeric matrices or MPoly for symbolic ones;
-    the two kinds are not mixed.
+    Zero entries are not stored.  ``rank`` and ``kernel_basis`` run the
+    fraction-free ``Echelon``; ``det`` runs dense Bareiss elimination.
     """
 
     def __init__(self, rows: int, cols: int, entries=None):
@@ -575,25 +539,6 @@ class SparseMat:
         if entries:
             for (i, j), v in entries.items():
                 self[i, j] = v
-
-    @classmethod
-    def from_rows(cls, rowlist):
-        rows = len(rowlist)
-        cols = len(rowlist[0]) if rowlist else 0
-        m = cls(rows, cols)
-        for i, row in enumerate(rowlist):
-            if len(row) != cols:
-                raise ValueError("ragged rows")
-            for j, v in enumerate(row):
-                m[i, j] = v
-        return m
-
-    @classmethod
-    def identity(cls, n):
-        m = cls(n, n)
-        for i in range(n):
-            m[i, i] = Fraction(1)
-        return m
 
     def __getitem__(self, key):
         i, j = key
@@ -608,12 +553,6 @@ class SparseMat:
         i, j = key
         if not (0 <= i < self.rows and 0 <= j < self.cols):
             raise IndexError(key)
-        if isinstance(value, MPoly):
-            if value.is_zero():
-                self.entries.pop((i, j), None)
-            else:
-                self.entries[(i, j)] = value
-            return
         value = Fraction(value)
         if value == 0:
             self.entries.pop((i, j), None)
@@ -622,9 +561,6 @@ class SparseMat:
 
     def is_zero(self) -> bool:
         return not self.entries
-
-    def is_symbolic(self) -> bool:
-        return any(isinstance(v, MPoly) for v in self.entries.values())
 
     def transpose(self) -> "SparseMat":
         t = SparseMat(self.cols, self.rows)
@@ -682,8 +618,6 @@ class SparseMat:
         ]
 
     def rank(self) -> int:
-        if self.is_symbolic():
-            raise ValueError("rank is defined here for numeric matrices only")
         vecs = self.row_vectors() if self.rows <= self.cols else self.col_vectors()
         return rank_of_vectors(vecs)
 
@@ -694,8 +628,6 @@ class SparseMat:
         dependent column yields one kernel vector, normalized to a primitive
         integer vector whose first nonzero entry is positive.
         """
-        if self.is_symbolic():
-            raise ValueError("kernel_basis is defined here for numeric matrices only")
         ech = Echelon(track=True)
         basis = []
         for j, col in enumerate(self.col_vectors()):
@@ -709,14 +641,11 @@ class SparseMat:
         return basis
 
     def det(self):
-        """Exact determinant: Bareiss for numeric entries, cofactor/Bareiss
-        over the polynomial ring for symbolic ones."""
+        """Exact determinant by fraction-free Bareiss elimination."""
         if self.rows != self.cols:
             raise ValueError("determinant of a non-square matrix")
         if self.rows == 0:
             return Fraction(1)
-        if self.is_symbolic():
-            return _det_mpoly(self)
         return _det_fraction(self.to_dense())
 
     def __repr__(self):
@@ -777,94 +706,3 @@ def _det_fraction(dense):
             row_i[k] = 0
         prev = pivot
     return Fraction(sign * m[n - 1][n - 1]) / scale
-
-
-def _det_mpoly(mat: SparseMat) -> MPoly:
-    variables = None
-    for v in mat.entries.values():
-        if isinstance(v, MPoly):
-            variables = v.variables
-            break
-    dense = []
-    for i in range(mat.rows):
-        row = []
-        for j in range(mat.cols):
-            v = mat.entries.get((i, j))
-            if v is None:
-                row.append(MPoly(variables))
-            elif isinstance(v, MPoly):
-                row.append(v)
-            else:
-                row.append(MPoly.constant(variables, v))
-        dense.append(row)
-    if mat.rows <= 4:
-        return _det_cofactor(dense, variables)
-    return _det_bareiss_poly(dense, variables)
-
-
-def _det_cofactor(dense, variables):
-    """Cofactor expansion along the sparsest row."""
-    n = len(dense)
-    if n == 0:
-        return MPoly.constant(variables, 1)
-    if n == 1:
-        return dense[0][0]
-    best = min(range(n), key=lambda i: sum(0 if p.is_zero() else 1 for p in dense[i]))
-    total = MPoly(variables)
-    row = dense[best]
-    for j in range(n):
-        if row[j].is_zero():
-            continue
-        minor = [
-            [dense[i][k] for k in range(n) if k != j] for i in range(n) if i != best
-        ]
-        sub = _det_cofactor(minor, variables)
-        term = row[j] * sub
-        if (best + j) % 2:
-            term = -term
-        total = total + term
-    return total
-
-
-def _det_bareiss_poly(dense, variables):
-    """Bareiss elimination over the polynomial ring with exact division."""
-    n = len(dense)
-    m = [row[:] for row in dense]
-    sign = 1
-    prev = MPoly.constant(variables, 1)
-    for k in range(n - 1):
-        if m[k][k].is_zero():
-            for i in range(k + 1, n):
-                if not m[i][k].is_zero():
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return MPoly(variables)
-        pivot = m[k][k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = m[i][j] * pivot - m[i][k] * m[k][j]
-                m[i][j] = num.divexact(prev)
-            m[i][k] = MPoly(variables)
-        prev = pivot
-    out = m[n - 1][n - 1]
-    return -out if sign < 0 else out
-
-
-# module-level wrappers
-
-
-def rank(m: SparseMat) -> int:
-    """Exact rank over Q."""
-    return m.rank()
-
-
-def kernel_basis(m: SparseMat):
-    """Exact basis of the right null space over Q."""
-    return m.kernel_basis()
-
-
-def det_symbolic(m: SparseMat):
-    """Exact determinant of a (possibly symbolic) square matrix."""
-    return m.det()

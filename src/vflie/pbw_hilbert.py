@@ -18,6 +18,7 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 
 from .exact import Echelon, MPoly, interpolate
 from .tensormod import ModuleDescriptor, word_vectors
@@ -25,9 +26,11 @@ from .tensormod import ModuleDescriptor, word_vectors
 __all__ = [
     "PolyModulePresentation",
     "RationalSeries",
+    "one_minus_t_powers",
     "normal_order_word",
     "associated_graded_presentation",
     "module_groebner",
+    "groebner_self_test",
     "hilbert_series",
     "partial_sum_polynomial",
 ]
@@ -192,6 +195,24 @@ def _vec_is_zero(vec):
     return all(p.is_zero() for p in vec)
 
 
+def _basis_entry(vec, weights):
+    """(vec, leading (pos, expo), leading coefficient) of a nonzero vector."""
+    lt, lc = _leading_term(vec, weights)
+    return vec, lt, lc
+
+
+def _s_vector(bi, bj, gvars):
+    """S-vector of two basis entries; None when they lead in different
+    positions (no S-vector arises between them)."""
+    (vi, (pi, ei), ci), (vj, (pj, ej), cj) = bi, bj
+    if pi != pj:
+        return None
+    lcm = tuple(max(a, b) for a, b in zip(ei, ej))
+    si = _vec_mul_mono(vi, _vec_sub(lcm, ei), Fraction(1) / ci, gvars)
+    sj = _vec_mul_mono(vj, _vec_sub(lcm, ej), Fraction(1) / cj, gvars)
+    return tuple(a - b for a, b in zip(si, sj))
+
+
 def _reduce_vector(vec, basis, weights, gvars):
     """Full normal form of vec against basis (list of (vec, lt, lc))."""
     result = [MPoly(gvars) for _ in vec]
@@ -228,29 +249,18 @@ def module_groebner(
         raise ValueError("unsupported order %r" % (order,))
     gvars = pres.ring_vars
     weights = pres.var_weights
-    basis = []
-    for vec in pres.relations:
-        if _vec_is_zero(vec):
-            continue
-        lt = _leading_term(vec, weights)
-        basis.append((vec, lt[0], lt[1]))
-    pairs = deque((i, j) for i in range(len(basis)) for j in range(i + 1, len(basis)))
+    basis = [_basis_entry(vec, weights) for vec in pres.relations if not _vec_is_zero(vec)]
+    pairs = deque(combinations(range(len(basis)), 2))
     while pairs:
         i, j = pairs.popleft()
-        (vi, (pi, ei), ci) = basis[i]
-        (vj, (pj, ej), cj) = basis[j]
-        if pi != pj:
+        spair = _s_vector(basis[i], basis[j], gvars)
+        if spair is None:
             continue
-        lcm = tuple(max(a, b) for a, b in zip(ei, ej))
-        si = _vec_mul_mono(vi, _vec_sub(lcm, ei), Fraction(1) / ci, gvars)
-        sj = _vec_mul_mono(vj, _vec_sub(lcm, ej), Fraction(1) / cj, gvars)
-        spair = tuple(a - b for a, b in zip(si, sj))
         nf = _reduce_vector(spair, basis, weights, gvars)
         if _vec_is_zero(nf):
             continue
-        lt = _leading_term(nf, weights)
         k = len(basis)
-        basis.append((nf, lt[0], lt[1]))
+        basis.append(_basis_entry(nf, weights))
         pairs.extend((m, k) for m in range(k))
     # minimal basis: drop anything whose leading term another element divides
     minimal = []
@@ -277,24 +287,11 @@ def groebner_self_test(pres: PolyModulePresentation) -> bool:
     """Confluence check: every S-vector of the basis reduces to zero."""
     gvars = pres.ring_vars
     weights = pres.var_weights
-    basis = []
-    for vec in pres.relations:
-        if _vec_is_zero(vec):
-            continue
-        lt = _leading_term(vec, weights)
-        basis.append((vec, lt[0], lt[1]))
-    for i in range(len(basis)):
-        for j in range(i + 1, len(basis)):
-            (vi, (pi, ei), ci) = basis[i]
-            (vj, (pj, ej), cj) = basis[j]
-            if pi != pj:
-                continue
-            lcm = tuple(max(a, b) for a, b in zip(ei, ej))
-            si = _vec_mul_mono(vi, _vec_sub(lcm, ei), Fraction(1) / ci, gvars)
-            sj = _vec_mul_mono(vj, _vec_sub(lcm, ej), Fraction(1) / cj, gvars)
-            spair = tuple(a - b for a, b in zip(si, sj))
-            if not _vec_is_zero(_reduce_vector(spair, basis, weights, gvars)):
-                return False
+    basis = [_basis_entry(vec, weights) for vec in pres.relations if not _vec_is_zero(vec)]
+    for bi, bj in combinations(basis, 2):
+        spair = _s_vector(bi, bj, gvars)
+        if spair is not None and not _vec_is_zero(_reduce_vector(spair, basis, weights, gvars)):
+            return False
     return True
 
 
@@ -304,21 +301,15 @@ def groebner_self_test(pres: PolyModulePresentation) -> bool:
 
 @dataclass
 class RationalSeries:
-    """num(t)/den(t) with integer coefficients, den(0) > 0, gcd-reduced."""
+    """num(t)/den(t) as ascending integer coefficient lists with no trailing
+    zeros (the zero numerator is [0]); den[0] != 0."""
 
-    numerator: MPoly
-    denominator: MPoly
-
-    def num_coeffs(self):
-        return _mp_to_list(self.numerator)
-
-    def den_coeffs(self):
-        return _mp_to_list(self.denominator)
+    num: list
+    den: list
 
     def expand(self, upto: int):
         """Power-series coefficients h_0..h_upto."""
-        num = self.num_coeffs()
-        den = self.den_coeffs()
+        num, den = self.num, self.den
         if not den or den[0] == 0:
             raise ValueError("denominator vanishes at 0")
         h = []
@@ -330,45 +321,24 @@ class RationalSeries:
         return h
 
     def to_dict(self):
-        num = [int(c) for c in self.num_coeffs()]
-        den = [int(c) for c in self.den_coeffs()]
-        return {"num": num, "den": den}
-
-    def __str__(self):
-        return "(%s) / (%s)" % (self.numerator, self.denominator)
+        return {"num": list(self.num), "den": list(self.den)}
 
 
-def _mp_to_list(poly: MPoly):
-    if len(poly.variables) != 1:
-        raise ValueError("univariate expected")
-    deg = poly.total_degree()
-    out = [Fraction(0)] * (max(deg, 0) + 1)
-    for expo, coeff in poly.terms.items():
-        out[expo[0]] = coeff
+def one_minus_t_powers(weights):
+    """Ascending integer coefficients of prod_(w in weights) (1 - t^w)."""
+    out = [1]
+    for w in weights:
+        nxt = out + [0] * w
+        for i, c in enumerate(out):
+            nxt[i + w] -= c
+        out = nxt
     return out
-
-
-def _list_to_mp(coeffs, var="t"):
-    return MPoly((var,), {(i,): c for i, c in enumerate(coeffs) if c})
 
 
 def _ptrim(p):
     while p and p[-1] == 0:
         p.pop()
     return p
-
-
-def _pmul(a, b):
-    if not a or not b:
-        return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x == 0:
-            continue
-        for j, y in enumerate(b):
-            if y:
-                out[i + j] += x * y
-    return _ptrim(out)
 
 
 def _padd(a, b):
@@ -378,10 +348,6 @@ def _padd(a, b):
     for i, x in enumerate(b):
         out[i] += x
     return _ptrim(out)
-
-
-def _psub(a, b):
-    return _padd(a, [-x for x in b])
 
 
 def _pdivmod(a, b):
@@ -419,21 +385,17 @@ def _reduce_fraction(num, den):
     if len(g) > 1:
         num, _ = _pdivmod(num, g)
         den, _ = _pdivmod(den, g)
-    denom_lcm = 1
-    for c in num + den:
-        denom_lcm = denom_lcm * c.denominator // math.gcd(denom_lcm, c.denominator)
-    num_i = [c * denom_lcm for c in num]
-    den_i = [c * denom_lcm for c in den]
-    content = 0
-    for c in num_i + den_i:
-        content = math.gcd(content, int(c))
+    denom_lcm = math.lcm(*(c.denominator for c in num + den))
+    num_i = [int(c * denom_lcm) for c in num]
+    den_i = [int(c * denom_lcm) for c in den]
+    content = math.gcd(*num_i, *den_i)
     if content > 1:
-        num_i = [c / content for c in num_i]
-        den_i = [c / content for c in den_i]
+        num_i = [c // content for c in num_i]
+        den_i = [c // content for c in den_i]
     if den_i and den_i[0] < 0:
         num_i = [-c for c in num_i]
         den_i = [-c for c in den_i]
-    return num_i, den_i
+    return num_i or [0], den_i
 
 
 def _monomial_quotient_numerator(gens, weights):
@@ -486,12 +448,7 @@ def hilbert_series(
     gvars = pres.ring_vars
     weights = tuple(var_weights) if var_weights else pres.var_weights
     gweights = tuple(gen_weights) if gen_weights else pres.generator_weights
-    den = [Fraction(1)]
-    for w in weights:
-        factor = [Fraction(0)] * (w + 1)
-        factor[0] = Fraction(1)
-        factor[w] = Fraction(-1)
-        den = _pmul(den, factor)
+    den = one_minus_t_powers(weights)
     lead_by_pos = {j: [] for j in range(len(gweights))}
     for vec in pres.relations:
         if _vec_is_zero(vec):
@@ -503,8 +460,7 @@ def hilbert_series(
         part = _monomial_quotient_numerator(lead_by_pos[j], weights)
         shifted = [Fraction(0)] * gw + part
         num = _padd(num, shifted)
-    num_i, den_i = _reduce_fraction(num, den)
-    return RationalSeries(_list_to_mp(num_i), _list_to_mp(den_i))
+    return RationalSeries(*_reduce_fraction(num, den))
 
 
 # ---------------------------------------------------------------------------

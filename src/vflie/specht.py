@@ -25,6 +25,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .exact import Echelon, MPoly
+from .pbw_hilbert import RationalSeries, one_minus_t_powers
 
 __all__ = [
     "variables_tuple",
@@ -254,33 +255,21 @@ def tspace_series(ts: TSpace) -> dict:
     cutoff = ts.cutoff
     margin = max(3, cutoff // 3)
     for r in range(0, ts.n + 3):
-        den = [Fraction(1)]
-        for i in range(1, r + 1):
-            # multiply by (1 - t^i)
-            nxt = [Fraction(0)] * (len(den) + i)
-            for j, c in enumerate(den):
-                nxt[j] += c
-                nxt[j + i] -= c
-            den = nxt
+        den = one_minus_t_powers(range(1, r + 1))
         if len(den) - 1 > cutoff - margin:
             break
         num = _series_times_poly(dims, den, cutoff)
         tail_start = cutoff - margin + 1
-        if any(num[w] for w in range(tail_start, cutoff + 1)):
+        if any(num[tail_start:]):
             continue
-        trimmed = num[:tail_start]
-        while trimmed and trimmed[-1] == 0:
-            trimmed.pop()
-        if not trimmed:
-            trimmed = [Fraction(0)]
-        if any(c.denominator != 1 for c in trimmed):
-            continue
-        expanded = _expand_rational(trimmed, den, cutoff)
-        if expanded == [Fraction(d) for d in dims]:
+        del num[tail_start:]
+        while len(num) > 1 and num[-1] == 0:
+            num.pop()
+        if RationalSeries(num, den).expand(cutoff) == dims:
             return {
                 "dims": dims,
-                "num": [int(c) for c in trimmed],
-                "den": [int(c) for c in den],
+                "num": num,
+                "den": den,
                 "verified_upto": cutoff,
                 "inconclusive": False,
             }
@@ -288,23 +277,14 @@ def tspace_series(ts: TSpace) -> dict:
 
 
 def _series_times_poly(series, poly, upto):
-    out = [Fraction(0)] * (upto + 1)
+    """Coefficients 0..upto of the product of an integer series and an
+    integer polynomial."""
+    out = [0] * (upto + 1)
     for w in range(upto + 1):
-        total = Fraction(0)
+        total = 0
         for j, c in enumerate(poly):
             if j > w:
                 break
             total += c * series[w - j]
         out[w] = total
-    return out
-
-
-def _expand_rational(num, den, upto):
-    # den[0] = 1 by construction
-    out = []
-    for w in range(upto + 1):
-        val = Fraction(num[w]) if w < len(num) else Fraction(0)
-        for j in range(1, min(w, len(den) - 1) + 1):
-            val -= den[j] * out[w - j]
-        out.append(val / den[0])
     return out

@@ -11,10 +11,9 @@ which raises weight by exactly k.  Monomials are indexed by their exponent
 vector abar; the ground monomial z^mubar d^(-lambdabar) is implicit.  The
 parameters may be arbitrary rationals.
 
-The same element type also serves the coordinatewise action of the direct
-sum of one-variable algebras (one tensor factor each), used by the weight
-decomposition of the coinduced modules: act_e_coordinate touches a single
-tensor factor.
+The coordinatewise action of the direct sum of one-variable algebras (one
+tensor factor each), which homology with tensor coefficients needs, is
+homology.TensorCoefficients.act_scaled, on integer vectors.
 
 word_vectors, the integer kernel behind every word family, scales the
 parameters by their common denominator den: a word of length n yields den**n
@@ -38,7 +37,6 @@ __all__ = [
     "WeightVector",
     "monomial",
     "act_e",
-    "act_e_coordinate",
     "act_word",
     "word_vectors",
     "act_lie",
@@ -204,31 +202,6 @@ def act_e(k: int, m: ModuleElement) -> ModuleElement:
     return out
 
 
-def act_e_coordinate(k: int, i: int, m: ModuleElement) -> ModuleElement:
-    """Action of the i-th coordinate field x_i^(k+1) d_i (0-based i):
-    only tensor factor i moves."""
-    if k < 1:
-        raise ValueError("coordinate action requires k >= 1")
-    desc = m.descriptor
-    if not 0 <= i < desc.r:
-        raise ValueError("coordinate index out of range")
-    lam, mu = desc.lam, desc.mu
-    terms = {}
-    for expo, coeff in m.terms.items():
-        factor = expo[i] + mu[i] + (k + 1) * lam[i]
-        if factor == 0:
-            continue
-        up = list(expo)
-        up[i] += k
-        key = tuple(up)
-        s = terms.get(key, Fraction(0)) + coeff * factor
-        if s:
-            terms[key] = s
-    out = ModuleElement(desc)
-    out.terms = terms
-    return out
-
-
 def _letter_constants(desc: ModuleDescriptor, letters: int, d: int = 1):
     """den and, per letter k = 1..letters, the integers
     base_i = den * (mu_i + (kd+1) lambda_i): den * e_(kd) multiplies z^abar
@@ -373,6 +346,8 @@ class WeightVector:
 
 def _check_dominant(lam, n):
     lam = tuple(int(x) for x in lam)
+    if not lam:
+        raise ValueError("weight must be non-empty")
     if len(lam) != n:
         raise ValueError("weight must have length n")
     if any(lam[i] < lam[i + 1] for i in range(n - 1)):

@@ -130,6 +130,7 @@ def test_usage_errors_exit_64():
     assert run_cli(["nonsense"])[0] == 64
     assert run_cli(["homology", "--algebra", "Q:1"])[0] == 64
     assert run_cli(["weights", "--lam", "1,2"])[0] == 64
+    assert run_cli(["weights", "--lam="])[0] == 64  # an empty weight
     assert run_cli(["specht", "--generators", "/does/not/exist.json"])[0] == 64
 
 

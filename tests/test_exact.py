@@ -11,10 +11,8 @@ from vflie.exact import (
     Echelon,
     MPoly,
     SparseMat,
-    det_symbolic,
     format_rat,
     interpolate,
-    kernel_basis,
     parse_rat,
     rank_mod_p,
     rank_of_vectors,
@@ -60,15 +58,6 @@ def test_mpoly_two_variables():
     assert f.coefficient((2, 0)) == 1
     assert f.coefficient((1, 1)) == 0
     assert f.total_degree() == 2
-
-
-def test_mpoly_divexact():
-    x = MPoly.variable(("x",), "x")
-    one = MPoly.constant(("x",), 1)
-    product = (x ** 2 + one) * (x - one)
-    assert product.divexact(x - one) == x ** 2 + one
-    with pytest.raises(ValueError):
-        (x ** 2 + one).divexact(x - one)
 
 
 def test_mpoly_subs_polys_composition():
@@ -133,7 +122,7 @@ def test_rank_nullity_and_kernel():
         rows = rng.randint(1, 12)
         cols = rng.randint(1, 12)
         m = _random_sparse(rng, rows, cols, density=0.5)
-        ker = kernel_basis(m)
+        ker = m.kernel_basis()
         assert m.rank() + len(ker) == cols
         for vec in ker:
             assert len(vec) == cols
@@ -170,21 +159,6 @@ def test_det_fraction_against_permutation_expansion():
                 for j in range(n):
                     m[i, j] = Fraction(rng.randint(-4, 4), rng.randint(1, 2))
             assert m.det() == _det_permutation(m.to_dense())
-
-
-def test_det_symbolic_against_permutation_expansion():
-    rng = random.Random(11)
-    variables = ("a", "b")
-    for _ in range(4):
-        m = SparseMat(3, 3)
-        for i in range(3):
-            for j in range(3):
-                terms = {}
-                for _k in range(rng.randint(1, 2)):
-                    expo = (rng.randint(0, 1), rng.randint(0, 1))
-                    terms[expo] = terms.get(expo, Fraction(0)) + rng.randint(-2, 2)
-                m[i, j] = MPoly(variables, {e: c for e, c in terms.items() if c})
-        assert det_symbolic(m) == _det_permutation(m.to_dense())
 
 
 def test_det_multiplicative():

@@ -74,6 +74,29 @@ def test_low_degree_homology_window():
     assert all(table[key] == 1 for key in nonzero)
 
 
+def _nonzero(table):
+    return {key: v for key, v in table.items() if v}
+
+
+def test_goncharova_weights():
+    # Goncharova: H_q(L_1) is one-dimensional at weights (3q^2 - q)/2 and
+    # (3q^2 + q)/2 and zero elsewhere; 26 = (3*16 + 4)/2 closes the q = 4 pair
+    table = homology_table(L1, TRIV, 4, 26)
+    assert len(table) == 5 * 27
+    expected = {(0, 0): 1}
+    for q in range(1, 5):
+        expected[(q, (3 * q * q - q) // 2)] = 1
+        expected[(q, (3 * q * q + q) // 2)] = 1
+    assert _nonzero(table) == expected
+
+
+def test_gelfand_fuks_w1():
+    # Gelfand-Fuks: H_*(W_1) is k in degrees 0 and 3, both at weight 0
+    table = homology_table(W1, TRIV, 4, 6)
+    assert len(table) == 5 * 7
+    assert _nonzero(table) == {(0, 0): 1, (3, 0): 1}
+
+
 def test_homology_dim_matches_table():
     table = homology_table(L1, TRIV, 2, 6)
     for p in range(3):
