@@ -3,8 +3,9 @@
 Subcommands: phi, shift, span, hilbert, homology, weights, specht.  Output
 is deterministic (sorted JSON keys, fixed indentation, trailing newline) so
 runs are byte-for-byte reproducible.  Exit codes: 0 success, 1 a computed
-certificate came back false, 2 a search or resource limit was hit or a fit
-was inconclusive, 64 usage error.
+certificate came back false, 2 a search or resource limit was hit, a fit was
+inconclusive or a relation harvest was not closed in its window, 64 usage
+error.
 """
 
 from __future__ import annotations
@@ -103,10 +104,18 @@ def _poly_coeffs(poly: MPoly):
     return out
 
 
+def _window(text: str) -> int:
+    """A weight or degree bound: an integer >= 0."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError("must be >= 0, got %d" % value)
+    return value
+
+
 def _check_cutoff(cutoff: int, r: int):
     """Refuse, before any work, a cutoff whose monomial count up to it in r
     variables, C(cutoff + r, r), exceeds the default dimension limit."""
-    if cutoff >= 0 and comb(cutoff + r, r) > hm.DEFAULT_DIM_LIMIT:
+    if comb(cutoff + r, r) > hm.DEFAULT_DIM_LIMIT:
         raise ResourceLimitError(
             "cutoff %d: C(cutoff + %d, %d) monomials exceed the limit %d"
             % (cutoff, r, r, hm.DEFAULT_DIM_LIMIT)
@@ -183,6 +192,13 @@ def _cmd_hilbert(args):
         raise ResourceLimitError("module basis failed its confluence self-test")
     series = hilbert_series(gb)
     dims = [int(c) for c in series.expand(args.cutoff)]
+    for w, (dim, rank) in enumerate(zip(dims, pres.harvest_ranks)):
+        if dim != rank:
+            raise ResourceLimitError(
+                "relation harvest not closed under g_1..g_%d at weight %d: "
+                "the module it presents has dimension %d, the harvest rank is %d"
+                % (args.r, w, dim, rank)
+            )
     expected = [graded_dimension(desc, w) for w in range(args.cutoff + 1)]
     by_weight = {}
     for rel in gb.relations:
@@ -354,7 +370,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("shift", help="find a certified graded-basis shift")
     _add_module_params(p)
-    p.add_argument("--cutoff", type=int, default=DEFAULT_CUTOFF)
+    p.add_argument("--cutoff", type=_window, default=DEFAULT_CUTOFF)
     p.add_argument("--bound", type=int, default=DEFAULT_BOUND)
     _add_common(p)
     p.set_defaults(func=_cmd_shift)
@@ -362,15 +378,15 @@ def build_parser() -> _Parser:
     p = sub.add_parser("span", help="spanning generators with certificate")
     _add_module_params(p)
     p.add_argument("--d", type=int, default=1, help="restrict to e_d, e_2d, ...")
-    p.add_argument("--cutoff", type=int, default=10, help="verification cutoff")
-    p.add_argument("--gen-cutoff", type=int, default=DEFAULT_CUTOFF)
+    p.add_argument("--cutoff", type=_window, default=10, help="verification cutoff")
+    p.add_argument("--gen-cutoff", type=_window, default=DEFAULT_CUTOFF)
     p.add_argument("--bound", type=int, default=DEFAULT_BOUND)
     _add_common(p)
     p.set_defaults(func=_cmd_span)
 
     p = sub.add_parser("hilbert", help="graded module presentation and Hilbert series")
     _add_module_params(p)
-    p.add_argument("--cutoff", type=int, default=10, help="relation harvest cutoff")
+    p.add_argument("--cutoff", type=_window, default=10, help="relation harvest cutoff")
     p.add_argument("--bound", type=int, default=DEFAULT_BOUND)
     _add_common(p)
     p.set_defaults(func=_cmd_hilbert)
@@ -379,8 +395,8 @@ def build_parser() -> _Parser:
     p.add_argument("--algebra", required=True, help="W:n, L<d>:n, or Lsum:n")
     p.add_argument("--lam", default="", help="tensor coefficients: lambda vector")
     p.add_argument("--mu", default="", help="tensor coefficients: mu vector")
-    p.add_argument("--p-max", type=int, default=2)
-    p.add_argument("--w-max", type=int, default=8)
+    p.add_argument("--p-max", type=_window, default=2)
+    p.add_argument("--w-max", type=_window, default=8)
     p.add_argument("--dim-limit", type=int, default=hm.DEFAULT_DIM_LIMIT)
     p.add_argument("--jobs", type=int, default=1)
     _add_common(p)
@@ -393,7 +409,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("specht", help="substitution-closure dimensions and series")
     p.add_argument("--generators", required=True, help="JSON file of generators")
-    p.add_argument("--cutoff", type=int, default=10)
+    p.add_argument("--cutoff", type=_window, default=10)
     _add_common(p)
     p.set_defaults(func=_cmd_specht)
 

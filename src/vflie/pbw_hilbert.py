@@ -13,8 +13,8 @@ Hilbert series with denominator dividing prod (1 - t^i).
 
 from __future__ import annotations
 
+import heapq
 import math
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -63,11 +63,17 @@ def normal_order_word(mono) -> tuple:
 @dataclass
 class PolyModulePresentation:
     """Free module presentation over k[g_1..g_r]: generator weights plus a
-    list of relation vectors (one MPoly in the g's per generator slot)."""
+    list of relation vectors (one MPoly in the g's per generator slot).
+
+    A harvested presentation also records, for each weight w up to its
+    cutoff, the harvest rank: the number of word columns at w minus the
+    number of relations harvested at w.
+    """
 
     ring_vars: tuple
     generator_weights: tuple
     relations: list
+    harvest_ranks: tuple = ()
 
     @property
     def num_generators(self) -> int:
@@ -95,12 +101,19 @@ def associated_graded_presentation(
     verified window.  Columns come from word_vectors, scaled by
     den**length; a truncated dependency has a single length, so it is a
     multiple of the exact one and normalizes to the same relation.
+
+    The relations harvested at w are independent (each ends in its own
+    column) and the relation module they generate contains their span, so
+    the presented module has dimension at most the harvest rank at every
+    weight, with equality throughout the window exactly when the harvest is
+    closed under the g_i there.
     """
     r = descriptor.r
     gvars = _g_vars(r)
     gens = sorted(tuple(int(a) for a in s) for s in S)
     gen_weights = tuple(sum(s) for s in gens)
     relations = []
+    ranks = []
     for w in range(cutoff + 1):
         columns = []
         for j, s in enumerate(gens):
@@ -124,7 +137,8 @@ def associated_graded_presentation(
                 MPoly(gvars, parts.get(j2, {})) for j2 in range(len(gens))
             )
             relations.append(_normalize_relation(relation, gvars))
-    return PolyModulePresentation(gvars, gen_weights, relations)
+        ranks.append(ech.rank)
+    return PolyModulePresentation(gvars, gen_weights, relations, tuple(ranks))
 
 
 def _normalize_relation(relation, gvars):
@@ -202,11 +216,8 @@ def _basis_entry(vec, weights):
 
 
 def _s_vector(bi, bj, gvars):
-    """S-vector of two basis entries; None when they lead in different
-    positions (no S-vector arises between them)."""
-    (vi, (pi, ei), ci), (vj, (pj, ej), cj) = bi, bj
-    if pi != pj:
-        return None
+    """S-vector of two basis entries that lead in the same position."""
+    (vi, (_, ei), ci), (vj, (_, ej), cj) = bi, bj
     lcm = tuple(max(a, b) for a, b in zip(ei, ej))
     si = _vec_mul_mono(vi, _vec_sub(lcm, ei), Fraction(1) / ci, gvars)
     sj = _vec_mul_mono(vj, _vec_sub(lcm, ej), Fraction(1) / cj, gvars)
@@ -238,30 +249,61 @@ def _reduce_vector(vec, basis, weights, gvars):
 def module_groebner(
     pres: PolyModulePresentation, order: str = "pot-deglex"
 ) -> PolyModulePresentation:
-    """Buchberger completion of the relation module.
+    """Reduced Groebner basis of the relation module, built reduce-first.
 
     Order: position over term (earlier generators dominate), monomials by
-    weighted degree (deg g_i = i) then lex.  S-vectors only arise between
-    relations leading in the same position; the returned basis is
-    inter-reduced and every S-vector reduces to zero.
+    weighted degree (deg g_i = i) then lex.  Input relations and S-pairs
+    wait in one queue, lowest weight first (the weight of the leading term,
+    generator weight included), inputs before S-pairs of the same weight and
+    inputs in their given order; a weight-homogeneous harvest is thus read
+    in harvest order.  Each item taken from the queue is reduced to its
+    normal form against the basis built so far.  A zero normal form means
+    the relation already lies in the module of that basis, and it is
+    dropped: it never joins the basis and forms no S-pair.  A nonzero one
+    joins the basis and queues its S-pairs with the entries leading in the
+    same position; under position over term no other S-vector arises.
+    Harvested relations are mostly g-multiples of earlier ones, so most are
+    dropped.  Taking low weights first keeps a high-weight remainder from
+    joining before the lower-weight relations that would reduce it.
+
+    The basis is then minimalized, inter-reduced, normalized and sorted by
+    leading term.  A module has one reduced Groebner basis for a given
+    order, up to the scale of its elements, and _normalize_relation fixes
+    that scale, so the output depends only on the module the relations
+    generate, not on their order or on how they were found.
     """
     if order != "pot-deglex":
         raise ValueError("unsupported order %r" % (order,))
     gvars = pres.ring_vars
     weights = pres.var_weights
-    basis = [_basis_entry(vec, weights) for vec in pres.relations if not _vec_is_zero(vec)]
-    pairs = deque(combinations(range(len(basis)), 2))
-    while pairs:
-        i, j = pairs.popleft()
-        spair = _s_vector(basis[i], basis[j], gvars)
-        if spair is None:
-            continue
-        nf = _reduce_vector(spair, basis, weights, gvars)
+
+    def weight(pos, expo):
+        return pres.generator_weights[pos] + _wdeg(expo, weights)
+
+    # (weight, 0, input index) or (weight, 1, (i, j)) for an S-pair
+    queue = []
+    for seq, vec in enumerate(pres.relations):
+        if not _vec_is_zero(vec):
+            (pos, expo), _ = _leading_term(vec, weights)
+            queue.append((weight(pos, expo), 0, seq))
+    heapq.heapify(queue)
+    basis = []
+    while queue:
+        _, kind, key = heapq.heappop(queue)
+        if kind == 0:
+            vec = pres.relations[key]
+        else:
+            vec = _s_vector(basis[key[0]], basis[key[1]], gvars)
+        nf = _reduce_vector(vec, basis, weights, gvars)
         if _vec_is_zero(nf):
             continue
-        k = len(basis)
-        basis.append(_basis_entry(nf, weights))
-        pairs.extend((m, k) for m in range(k))
+        entry = _basis_entry(nf, weights)
+        pos, expo = entry[1]
+        for m, (_, (bpos, bexpo), _) in enumerate(basis):
+            if bpos == pos:
+                lcm = tuple(max(x, y) for x, y in zip(expo, bexpo))
+                heapq.heappush(queue, (weight(pos, lcm), 1, (m, len(basis))))
+        basis.append(entry)
     # minimal basis: drop anything whose leading term another element divides
     minimal = []
     for idx, (vec, (pos, expo), lc) in enumerate(basis):
@@ -275,6 +317,7 @@ def module_groebner(
             break
         if not dominated:
             minimal.append((vec, (pos, expo), lc))
+    minimal.sort(key=lambda entry: (entry[1][0], _wdeg(entry[1][1], weights), entry[1][1]))
     out = []
     for i, (vec, lt, lc) in enumerate(minimal):
         rest = [minimal[m] for m in range(len(minimal)) if m != i]
@@ -289,8 +332,9 @@ def groebner_self_test(pres: PolyModulePresentation) -> bool:
     weights = pres.var_weights
     basis = [_basis_entry(vec, weights) for vec in pres.relations if not _vec_is_zero(vec)]
     for bi, bj in combinations(basis, 2):
-        spair = _s_vector(bi, bj, gvars)
-        if spair is not None and not _vec_is_zero(_reduce_vector(spair, basis, weights, gvars)):
+        if bi[1][0] != bj[1][0]:
+            continue
+        if not _vec_is_zero(_reduce_vector(_s_vector(bi, bj, gvars), basis, weights, gvars)):
             return False
     return True
 

@@ -1,6 +1,7 @@
 """Command-line interface: output formats, determinism, exit codes."""
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -125,13 +126,23 @@ def test_byte_determinism(tmp_path):
     assert out_path.read_text() == first[1]
 
 
-def test_usage_errors_exit_64():
+def test_usage_errors_exit_64(tmp_path):
     assert run_cli(["phi", "--r", "2", "--lam", "0", "--mu", "0,0"])[0] == 64
     assert run_cli(["nonsense"])[0] == 64
     assert run_cli(["homology", "--algebra", "Q:1"])[0] == 64
     assert run_cli(["weights", "--lam", "1,2"])[0] == 64
     assert run_cli(["weights", "--lam="])[0] == 64  # an empty weight
     assert run_cli(["specht", "--generators", "/does/not/exist.json"])[0] == 64
+    # negative windows are bad input, not an empty or vacuous answer
+    assert run_cli(["span", "--r", "2", "--lam", "0,0", "--mu", "0,0", "--cutoff", "-1"])[0] == 64
+    assert run_cli(["span", "--r", "1", "--lam", "0", "--mu", "0", "--gen-cutoff", "-1"])[0] == 64
+    assert run_cli(["shift", "--r", "1", "--lam", "0", "--mu", "0", "--cutoff", "-1"])[0] == 64
+    assert run_cli(["hilbert", "--r", "2", "--lam", "0,0", "--mu", "0,0", "--cutoff", "-1"])[0] == 64
+    assert run_cli(["homology", "--algebra", "L1:1", "--p-max", "-1"])[0] == 64
+    assert run_cli(["homology", "--algebra", "L1:1", "--w-max", "-2"])[0] == 64
+    gens = tmp_path / "gens.json"
+    gens.write_text(json.dumps([{"1,1": "1"}]))
+    assert run_cli(["specht", "--generators", str(gens), "--cutoff", "-1"])[0] == 64
 
 
 def test_zero_denominator_exit_64():
@@ -197,3 +208,33 @@ def test_huge_cutoff_refused_at_once(tmp_path):
         assert time.perf_counter() - start < 1.0, argv
         assert code == 2 and out == "", argv
         assert "cutoff" in err and "20000" in err, argv
+
+
+def test_hilbert_closure_refused():
+    # harvests not closed under g_1..g_r in the window: the first weight where
+    # the presented module falls below the harvest rank is named, and nothing
+    # is printed
+    cases = [
+        (["--r", "3", "--lam=0,0,0", "--mu=0,0,0", "--cutoff", "8"], 6, 27, 28),
+        (["--r", "3", "--lam=1/2,0,1", "--mu=1/3,0,0", "--cutoff", "7"], 5, 20, 21),
+        (["--r", "2", "--lam=1,0", "--mu=1,-2", "--cutoff", "12"], 6, 6, 7),
+        (["--r", "2", "--lam=1/2,0", "--mu=1/3,0", "--cutoff", "12"], 4, 4, 5),
+    ]
+    for argv, w, dim, rank in cases:
+        code, out, err = run_cli(["hilbert"] + argv)
+        assert code == 2 and out == "", argv
+        assert "weight %d: " % w in err, (argv, err)
+        assert "dimension %d, the harvest rank is %d" % (dim, rank) in err, (argv, err)
+
+
+def test_benchmark_hilbert_bytes():
+    # the benchmark's recorded hilbert outputs, checked in-process
+    golden = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                          "perfbench", "golden.json")
+    with open(golden) as fh:
+        entries = [e for e in json.load(fh).values() if e["argv"][0] == "hilbert"]
+    assert entries
+    for entry in entries:
+        code, out, _ = run_cli(entry["argv"])
+        assert code == entry["exit"], entry["argv"]
+        assert hashlib.sha256(out.encode()).hexdigest() == entry["sha256"], entry["argv"]

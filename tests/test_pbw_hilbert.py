@@ -6,7 +6,7 @@ from math import comb
 
 import pytest
 
-from vflie.exact import MPoly
+from vflie.exact import Echelon, MPoly
 from vflie.pbw_hilbert import (
     PolyModulePresentation,
     RationalSeries,
@@ -52,6 +52,7 @@ def test_rank_two_trivial_parameters():
     assert series.to_dict() == {"num": [1], "den": [1, -2, 1]}
     dims = [int(c) for c in series.expand(12)]
     assert dims == [comb(w + 1, 1) for w in range(13)]
+    assert list(pres.harvest_ranks) == dims[:11]
 
 
 def test_relations_are_weight_homogeneous():
@@ -128,3 +129,102 @@ def test_partial_sum_window_too_small():
     series = RationalSeries([1], [1, -1])
     with pytest.raises(ValueError):
         partial_sum_polynomial(series, 3)
+
+
+def _monomials(n, r):
+    """Exponent tuples of weighted degree n in g_1..g_r, deg g_i = i."""
+    if r == 0:
+        return [()] if n == 0 else []
+    return [
+        expo + (a,) for a in range(n // r + 1) for expo in _monomials(n - a * r, r - 1)
+    ]
+
+
+def _random_presentation(rng):
+    """A homogeneous presentation with 1-3 generator slots over k[g_1..g_r],
+    r <= 3, small integer coefficients, and some relations that are
+    combinations of g-multiples of earlier ones."""
+    r = rng.randint(1, 3)
+    gvars = tuple("g%d" % (i + 1) for i in range(r))
+    gen_weights = tuple(rng.randint(0, 2) for _ in range(rng.randint(1, 3)))
+    relations = []
+    count = rng.randint(1, 5)
+    while len(relations) < count:
+        d = rng.randint(max(gen_weights) + 1, max(gen_weights) + 4)
+        rel = []
+        for gw in gen_weights:
+            monos = _monomials(d - gw, r)
+            terms = {}
+            for expo in rng.sample(monos, min(len(monos), rng.randint(0, 2))):
+                terms[expo] = Fraction(rng.choice([-3, -2, -1, 1, 2, 3]))
+            rel.append(MPoly(gvars, terms))
+        if any(poly.terms for poly in rel):
+            relations.append((d, tuple(rel)))
+    for _ in range(rng.randint(0, 3)):
+        (d1, rel1), (d2, rel2) = rng.choice(relations), rng.choice(relations)
+        d = max(d1, d2) + rng.randint(0, 2)
+        m1 = MPoly(gvars, {rng.choice(_monomials(d - d1, r)): Fraction(rng.randint(-2, 2))})
+        m2 = MPoly(gvars, {rng.choice(_monomials(d - d2, r)): Fraction(rng.randint(-2, 2))})
+        relations.append((d, tuple(p1 * m1 + p2 * m2 for p1, p2 in zip(rel1, rel2))))
+    return PolyModulePresentation(gvars, gen_weights, [rel for _, rel in relations])
+
+
+def _brute_force_dims(pres, upto):
+    """dim (F/R)_w for w <= upto: the free count minus the rank of all
+    g^b * R at weight w, by exact elimination."""
+    r = len(pres.ring_vars)
+    dims = []
+    for w in range(upto + 1):
+        free = sum(len(_monomials(w - gw, r)) for gw in pres.generator_weights if gw <= w)
+        ech = Echelon()
+        for rel in pres.relations:
+            terms = [(j, e) for j, poly in enumerate(rel) for e in poly.terms]
+            if not terms:
+                continue
+            j, expo = terms[0]
+            d = pres.generator_weights[j] + sum((i + 1) * a for i, a in enumerate(expo))
+            if d > w:
+                continue
+            for b in _monomials(w - d, r):
+                vec = {}
+                for j, poly in enumerate(rel):
+                    for e, c in poly.terms.items():
+                        vec[(j, tuple(x + y for x, y in zip(e, b)))] = c
+                ech.insert(vec)
+        dims.append(free - ech.rank)
+    return dims
+
+
+def _lead(rel, r):
+    """(position, exponent) of the largest term: earlier positions first,
+    then weighted degree, then lex."""
+    terms = [(j, e) for j, poly in enumerate(rel) for e in poly.terms]
+    return max(terms, key=lambda t: (-t[0], sum((i + 1) * a for i, a in enumerate(t[1])), t[1]))
+
+
+def _as_data(pres):
+    return [tuple(tuple(sorted(poly.terms.items())) for poly in rel) for rel in pres.relations]
+
+
+def test_module_groebner_oracle_random():
+    rng = random.Random(20261018)
+    upto = 8
+    for _ in range(40):
+        pres = _random_presentation(rng)
+        r = len(pres.ring_vars)
+        gb = module_groebner(pres)
+        assert groebner_self_test(gb)
+        dims = [int(c) for c in hilbert_series(gb).expand(upto)]
+        assert dims == _brute_force_dims(pres, upto), _as_data(pres)
+        # reduced: no term of an element is divisible by another's leading term
+        leads = [_lead(rel, r) for rel in gb.relations]
+        for k, rel in enumerate(gb.relations):
+            for j, poly in enumerate(rel):
+                for expo in poly.terms:
+                    for m, (lj, le) in enumerate(leads):
+                        if m != k and lj == j:
+                            assert not all(a <= b for a, b in zip(le, expo)), _as_data(gb)
+        shuffled = list(pres.relations)
+        rng.shuffle(shuffled)
+        again = module_groebner(PolyModulePresentation(pres.ring_vars, pres.generator_weights, shuffled))
+        assert _as_data(again) == _as_data(gb)
