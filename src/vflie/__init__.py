@@ -78,7 +78,6 @@ from .specht import (
     TSpace,
     closure_basis,
     homogeneous_split,
-    infinitesimal_act,
     substitute,
     tspace_series,
     variables_tuple,

@@ -105,7 +105,8 @@ def _poly_coeffs(poly: MPoly):
 
 
 def _window(text: str) -> int:
-    """A weight or degree bound: an integer >= 0."""
+    """A nonnegative integer: a weight or degree window, a shift search
+    bound or a size limit."""
     value = int(text)
     if value < 0:
         raise argparse.ArgumentTypeError("must be >= 0, got %d" % value)
@@ -364,14 +365,14 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("phi", parents=[], help="shift determinant polynomial in N")
     _add_module_params(p)
-    p.add_argument("--max-r", type=int, default=5)
+    p.add_argument("--max-r", type=_window, default=5)
     _add_common(p)
     p.set_defaults(func=_cmd_phi)
 
     p = sub.add_parser("shift", help="find a certified graded-basis shift")
     _add_module_params(p)
     p.add_argument("--cutoff", type=_window, default=DEFAULT_CUTOFF)
-    p.add_argument("--bound", type=int, default=DEFAULT_BOUND)
+    p.add_argument("--bound", type=_window, default=DEFAULT_BOUND)
     _add_common(p)
     p.set_defaults(func=_cmd_shift)
 
@@ -380,14 +381,14 @@ def build_parser() -> _Parser:
     p.add_argument("--d", type=int, default=1, help="restrict to e_d, e_2d, ...")
     p.add_argument("--cutoff", type=_window, default=10, help="verification cutoff")
     p.add_argument("--gen-cutoff", type=_window, default=DEFAULT_CUTOFF)
-    p.add_argument("--bound", type=int, default=DEFAULT_BOUND)
+    p.add_argument("--bound", type=_window, default=DEFAULT_BOUND)
     _add_common(p)
     p.set_defaults(func=_cmd_span)
 
     p = sub.add_parser("hilbert", help="graded module presentation and Hilbert series")
     _add_module_params(p)
     p.add_argument("--cutoff", type=_window, default=10, help="relation harvest cutoff")
-    p.add_argument("--bound", type=int, default=DEFAULT_BOUND)
+    p.add_argument("--bound", type=_window, default=DEFAULT_BOUND)
     _add_common(p)
     p.set_defaults(func=_cmd_hilbert)
 
@@ -397,7 +398,7 @@ def build_parser() -> _Parser:
     p.add_argument("--mu", default="", help="tensor coefficients: mu vector")
     p.add_argument("--p-max", type=_window, default=2)
     p.add_argument("--w-max", type=_window, default=8)
-    p.add_argument("--dim-limit", type=int, default=hm.DEFAULT_DIM_LIMIT)
+    p.add_argument("--dim-limit", type=_window, default=hm.DEFAULT_DIM_LIMIT)
     p.add_argument("--jobs", type=int, default=1)
     _add_common(p)
     p.set_defaults(func=_cmd_homology)

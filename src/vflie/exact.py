@@ -293,18 +293,6 @@ class MPoly:
             result = result + term
         return result
 
-    def partial(self, name) -> "MPoly":
-        """Partial derivative with respect to a named variable."""
-        i = self.variables.index(name)
-        terms = {}
-        for expo, coeff in self.terms.items():
-            if expo[i] == 0:
-                continue
-            down = list(expo)
-            down[i] -= 1
-            terms[tuple(down)] = coeff * expo[i]
-        return MPoly(self.variables, terms)
-
     # -- rendering
 
     def __str__(self):

@@ -23,7 +23,7 @@ from functools import lru_cache
 
 from ._enum import bounded_tails, monomials_of_degree, weighted_vectors
 from .exact import MPoly, SparseMat, format_rat, interpolate, rank_mod_p, rank_of_vectors
-from .tensormod import ModuleDescriptor, graded_dimension, word_vectors
+from .tensormod import ModuleDescriptor, _act_int, graded_dimension, word_vectors
 
 __all__ = [
     "GeneratorSet",
@@ -128,24 +128,19 @@ def power_basis_matrix(r: int) -> SparseMat:
     """Expansion of the products p_rho z^a over the degree-r monomials,
     same row/column ordering as newton_matrix.  Always nonsingular: the
     polynomial ring is free over the symmetric functions with basis
-    {z^a : a_i < i}."""
+    {z^a : a_i < i}.  Multiplying by p_k = sum_i z_i^k is the integer word
+    action _act_int with den = 0 and every base 1."""
     rows = monomials_of_degree(r, r)
     row_of = {expo: i for i, expo in enumerate(rows)}
     cols = _column_index(r, r)
+    ones = (1,) * r
     mat = SparseMat(len(rows), len(cols))
     for j, (rho, a) in enumerate(cols):
-        terms = {a: Fraction(1)}
-        for k in range(1, r + 1):
-            for _ in range(rho[k - 1]):
-                nxt = {}
-                for expo, c in terms.items():
-                    for i in range(r):
-                        up = list(expo)
-                        up[i] += k
-                        key = tuple(up)
-                        nxt[key] = nxt.get(key, Fraction(0)) + c
-                terms = nxt
-        for expo, coeff in terms.items():
+        vec = {a: 1}
+        for k, times in enumerate(rho, 1):
+            for _ in range(times):
+                vec = _act_int(vec, k, 0, ones)
+        for expo, coeff in vec.items():
             mat[row_of[expo], j] = coeff
     return mat
 

@@ -15,23 +15,27 @@ routines below rather than assumed:
   raises degree by k, the closure saturates weight by weight in one
   ascending pass.
 
-closure_basis builds the graded closure up to a cutoff; substitute and
-homogeneous_split provide the raw moves so tests can confirm closure
-membership for arbitrary sampled substitutions.
+D_k x^a = sum_i a_i x^(a + k e_i) is e_k acting on the tensor module T^n
+with lambda = mu = 0, so closure_basis runs the ladder on integer vectors
+keyed by exponent tuple with tensormod._act_int, the kernel behind the word
+families and the power basis too.  substitute and homogeneous_split provide
+the raw moves so tests can confirm closure membership for arbitrary sampled
+substitutions.
 """
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
-from .exact import Echelon, MPoly
+from .exact import Echelon, MPoly, _to_int_vector
 from .pbw_hilbert import RationalSeries, one_minus_t_powers
+from .tensormod import _act_int
 
 __all__ = [
     "variables_tuple",
     "substitute",
     "homogeneous_split",
-    "infinitesimal_act",
     "closure_basis",
     "TSpace",
     "tspace_series",
@@ -134,18 +138,6 @@ def _solve_exact(rows, rhs, variables):
     return b
 
 
-def infinitesimal_act(p: MPoly, f: MPoly) -> MPoly:
-    """sum_i p(x_i) * df/dx_i, the derivative at 0 of t -> f(x + t p(x))."""
-    if len(p.variables) != 1:
-        raise ValueError("substitution polynomial must be univariate")
-    pvar = p.variables[0]
-    out = MPoly(f.variables)
-    for v in f.variables:
-        img = p.subs_polys({pvar: MPoly.variable(f.variables, v)})
-        out = out + img * f.partial(v)
-    return out
-
-
 class TSpace:
     """Graded basis of a substitution-closed space, valid up to a cutoff."""
 
@@ -177,21 +169,12 @@ class TSpace:
             basis = self.graded_basis.get(d, [])
             if not basis:
                 return False
-            index = {}
             ech = Echelon()
             for g in basis:
-                ech.insert(_vectorize(g, index))
-            if ech.reduce(_vectorize(comp, index)):
+                ech.insert(g.terms)
+            if ech.reduce(comp.terms):
                 return False
         return True
-
-
-def _vectorize(g: MPoly, index: dict) -> dict:
-    vec = {}
-    for expo, coeff in g.terms.items():
-        pos = index.setdefault(expo, len(index))
-        vec[pos] = coeff
-    return vec
 
 
 def closure_basis(generators, cutoff: int) -> TSpace:
@@ -199,9 +182,10 @@ def closure_basis(generators, cutoff: int) -> TSpace:
 
     Components of the generators seed the grading; the single ascending
     sweep applies every ladder operator D_k to every lower-weight basis
-    element, which suffices because each D_k strictly raises degree.
-    Components beyond the cutoff are dropped (the returned space is only
-    certified up to the cutoff).
+    element, which suffices because each D_k strictly raises degree.  The
+    sweep runs on integer multiples of the components, which spans the same
+    space.  Components beyond the cutoff are dropped (the returned space is
+    only certified up to the cutoff).
     """
     gens = list(generators)
     if not gens:
@@ -211,35 +195,23 @@ def closure_basis(generators, cutoff: int) -> TSpace:
         if g.variables != variables:
             raise ValueError("generators disagree on variables")
     n = len(variables)
-    tvar = ("t",)
+    zero = (0,) * n
     seeds = {}
     for g in gens:
         for d, comp in homogeneous_split(g).items():
             if d <= cutoff:
-                seeds.setdefault(d, []).append(comp)
+                seeds.setdefault(d, []).append(_to_int_vector(comp.terms)[0])
     basis = {}
-    echelons = {}
-    indexes = {}
-
-    def admit(w, poly):
-        if poly.is_zero():
-            return False
-        ech = echelons.setdefault(w, Echelon())
-        index = indexes.setdefault(w, {})
-        if ech.insert(_vectorize(poly, index)) is not None:
-            return False
-        basis.setdefault(w, []).append(poly)
-        return True
-
     for w in range(cutoff + 1):
-        for poly in seeds.get(w, ()):
-            admit(w, poly)
-        for k in range(1, w + 1):
-            lower = basis.get(w - k, [])
-            ladder = MPoly(tvar, {(k + 1,): Fraction(1)})
-            for g in lower:
-                admit(w, infinitesimal_act(ladder, g))
-    return TSpace(n, basis, cutoff)
+        ech = Echelon()
+        # D_k is e_k on T^n with lambda = mu = 0: den 1, every base 0
+        images = (_act_int(v, k, 1, zero) for k in range(1, w + 1) for v in basis.get(w - k, ()))
+        candidates = itertools.chain(seeds.get(w, ()), images)
+        admitted = [v for v in candidates if v and ech.insert(v) is None]
+        if admitted:
+            basis[w] = admitted
+    graded = {w: [MPoly(variables, vec) for vec in vecs] for w, vecs in basis.items()}
+    return TSpace(n, graded, cutoff)
 
 
 def tspace_series(ts: TSpace) -> dict:

@@ -15,9 +15,16 @@ The coordinatewise action of the direct sum of one-variable algebras (one
 tensor factor each), which homology with tensor coefficients needs, is
 homology.TensorCoefficients.act_scaled, on integer vectors.
 
-word_vectors, the integer kernel behind every word family, scales the
-parameters by their common denominator den: a word of length n yields den**n
-times its exact vector, which changes no rank, span or primitive relation.
+_act_int, den * e_k on integer vectors keyed by exponent tuple, is the one
+word-action kernel.  It has three uses:
+
+* word_vectors, behind every word family, scales the parameters by their
+  common denominator den: a word of length n yields den**n times its exact
+  vector, which changes no rank, span or primitive relation;
+* spanning.power_basis_matrix multiplies by the power sums p_k (den = 0,
+  every base 1);
+* specht.closure_basis applies the ladder operators D_k, which are e_k on
+  T^n with lambda = mu = 0 (den = 1, every base 0).
 """
 
 from __future__ import annotations
@@ -214,7 +221,11 @@ def _letter_constants(desc: ModuleDescriptor, letters: int, d: int = 1):
 
 
 def _act_int(vec, step, den, base):
-    """den * e_step on an integer vector {abar: int}."""
+    """den * e_step on an integer vector {abar: int}: each z^abar goes to
+    sum_i (den * a_i + base_i) z_i^step z^abar.  The one kernel behind the
+    word families (base from _letter_constants), the power sums p_step
+    (den = 0, base all 1) and the ladder operators D_step of the
+    substitution closure (den = 1, base all 0)."""
     out = {}
     for expo, c in vec.items():
         for i, b in enumerate(base):

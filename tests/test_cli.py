@@ -2,6 +2,7 @@
 
 import contextlib
 import hashlib
+import importlib.util
 import io
 import json
 import os
@@ -140,6 +141,12 @@ def test_usage_errors_exit_64(tmp_path):
     assert run_cli(["hilbert", "--r", "2", "--lam", "0,0", "--mu", "0,0", "--cutoff", "-1"])[0] == 64
     assert run_cli(["homology", "--algebra", "L1:1", "--p-max", "-1"])[0] == 64
     assert run_cli(["homology", "--algebra", "L1:1", "--w-max", "-2"])[0] == 64
+    # so are a negative search bound or size limit, not an exhausted search
+    assert run_cli(["shift", "--r", "1", "--lam", "0", "--mu", "0", "--bound", "-1"])[0] == 64
+    assert run_cli(["span", "--r", "1", "--lam", "0", "--mu", "0", "--bound", "-1"])[0] == 64
+    assert run_cli(["hilbert", "--r", "1", "--lam", "0", "--mu", "0", "--bound", "-1"])[0] == 64
+    assert run_cli(["phi", "--r", "1", "--lam", "0", "--mu", "0", "--max-r", "-1"])[0] == 64
+    assert run_cli(["homology", "--algebra", "L1:1", "--dim-limit", "-1"])[0] == 64
     gens = tmp_path / "gens.json"
     gens.write_text(json.dumps([{"1,1": "1"}]))
     assert run_cli(["specht", "--generators", str(gens), "--cutoff", "-1"])[0] == 64
@@ -227,13 +234,20 @@ def test_hilbert_closure_refused():
         assert "dimension %d, the harvest rank is %d" % (dim, rank) in err, (argv, err)
 
 
-def test_benchmark_hilbert_bytes():
-    # the benchmark's recorded hilbert outputs, checked in-process
-    golden = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                          "perfbench", "golden.json")
-    with open(golden) as fh:
-        entries = [e for e in json.load(fh).values() if e["argv"][0] == "hilbert"]
-    assert entries
+def test_benchmark_golden_bytes(tmp_path, monkeypatch):
+    # the benchmark's recorded hilbert and specht outputs, checked in-process;
+    # the specht generator files are rebuilt from the benchmark's seed-0 jobs
+    bench = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
+    spec = importlib.util.spec_from_file_location("perfbench_jobs", os.path.join(bench, "jobs.py"))
+    jobs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(jobs)
+    for job in jobs.job_list("homology_presentation", 0) + list(jobs.PROBES):
+        for name, text in job["files"].items():
+            (tmp_path / name).write_text(text)
+    monkeypatch.chdir(tmp_path)
+    with open(os.path.join(bench, "golden.json")) as fh:
+        entries = [e for e in json.load(fh).values() if e["argv"][0] in ("hilbert", "specht")]
+    assert {e["argv"][0] for e in entries} == {"hilbert", "specht"}
     for entry in entries:
         code, out, _ = run_cli(entry["argv"])
         assert code == entry["exit"], entry["argv"]

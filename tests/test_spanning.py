@@ -18,6 +18,7 @@ from vflie.spanning import (
     find_good_shift,
     graded_basis_certificate,
     newton_matrix,
+    power_basis_matrix,
     shift_determinant,
     shift_determinant_value,
     spanning_certificate,
@@ -90,18 +91,43 @@ def test_newton_matrix_fractional_parameters_exact():
         m = newton_matrix(r, lam, mu)
         desc = ModuleDescriptor(r, lam, mu)
         rows = monomials_of_degree(r, r)
-        cols = sorted(
-            (rho, a)
-            for a in itertools.product(*(range(i + 1) for i in range(r)))
-            for rho in itertools.product(range(r + 1), repeat=r)
-            if sum(a) + sum((i + 1) * b for i, b in enumerate(rho)) == r
-        )
+        cols = _degree_r_columns(r)
         assert (m.rows, m.cols) == (len(rows), len(cols))
         for j, (rho, a) in enumerate(cols):
             column = act_word(rho, monomial(desc, a)).terms
             for i, row in enumerate(rows):
                 assert isinstance(m[i, j], Fraction)
                 assert m[i, j] == column.get(row, 0)
+
+
+def _degree_r_columns(r):
+    """The pairs (rho, a), a_i < i, of weight r, sorted."""
+    return sorted(
+        (rho, a)
+        for a in itertools.product(*(range(i + 1) for i in range(r)))
+        for rho in itertools.product(range(r + 1), repeat=r)
+        if sum(a) + sum((i + 1) * b for i, b in enumerate(rho)) == r
+    )
+
+
+def test_power_basis_matrix_matches_mpoly_products():
+    # column (rho, a) is (prod_k p_k^(rho_k)) z^a, p_k = sum_i z_i^k
+    for r in (1, 2, 3, 4):
+        z = tuple("z%d" % (i + 1) for i in range(r))
+        power = [None] + [
+            sum((MPoly.variable(z, v) ** k for v in z), MPoly(z)) for k in range(1, r + 1)
+        ]
+        m = power_basis_matrix(r)
+        rows = monomials_of_degree(r, r)
+        cols = _degree_r_columns(r)
+        assert (m.rows, m.cols) == (len(rows), len(cols))
+        for j, (rho, a) in enumerate(cols):
+            column = MPoly(z, {a: 1})
+            for k, times in enumerate(rho, 1):
+                column = column * power[k] ** times
+            for i, row in enumerate(rows):
+                assert m[i, j] == column.coefficient(row)
+        assert m.det() != 0
 
 
 def test_find_good_shift_small_cases():
