@@ -105,8 +105,8 @@ def _poly_coeffs(poly: MPoly):
 
 
 def _window(text: str) -> int:
-    """A nonnegative integer: a weight or degree window, a shift search
-    bound or a size limit."""
+    """A nonnegative integer: a rank, a weight or degree window, a shift
+    search bound or a size limit."""
     value = int(text)
     if value < 0:
         raise argparse.ArgumentTypeError("must be >= 0, got %d" % value)
@@ -354,7 +354,7 @@ def _add_common(p):
 
 
 def _add_module_params(p):
-    p.add_argument("--r", type=int, required=True, help="number of tensor factors")
+    p.add_argument("--r", type=_window, required=True, help="number of tensor factors")
     p.add_argument("--lam", default="", help="comma-separated rationals, length r")
     p.add_argument("--mu", default="", help="comma-separated rationals, length r")
 

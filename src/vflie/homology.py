@@ -313,8 +313,10 @@ def homology_table(
     Weights are handled one at a time; a chain slice larger than dim_limit
     raises ResourceLimitError naming the slice before any rank at its weight
     is taken.  jobs > 1 distributes block ranks over a process pool; results
-    are identical to the serial path.
+    are identical to the serial path.  jobs < 1 raises ValueError.
     """
+    if jobs < 1:
+        raise ValueError("jobs must be >= 1, got %d" % jobs)
     coeffs.validate(alg)
     cx = _Complex(alg, coeffs, _field_top(alg, p_max + 1, w_max))
     table = {}

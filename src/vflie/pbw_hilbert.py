@@ -246,9 +246,7 @@ def _reduce_vector(vec, basis, weights, gvars):
     return tuple(result)
 
 
-def module_groebner(
-    pres: PolyModulePresentation, order: str = "pot-deglex"
-) -> PolyModulePresentation:
+def module_groebner(pres: PolyModulePresentation) -> PolyModulePresentation:
     """Reduced Groebner basis of the relation module, built reduce-first.
 
     Order: position over term (earlier generators dominate), monomials by
@@ -272,8 +270,6 @@ def module_groebner(
     that scale, so the output depends only on the module the relations
     generate, not on their order or on how they were found.
     """
-    if order != "pot-deglex":
-        raise ValueError("unsupported order %r" % (order,))
     gvars = pres.ring_vars
     weights = pres.var_weights
 
@@ -482,16 +478,14 @@ def _minimalize(gens):
     return sorted(out)
 
 
-def hilbert_series(
-    pres: PolyModulePresentation, gen_weights=None, var_weights=None
-) -> RationalSeries:
+def hilbert_series(pres: PolyModulePresentation) -> RationalSeries:
     """Weighted Hilbert series of the presented module by standard-monomial
     counting: complement of the leading-term module per generator slot over
-    the common denominator prod(1 - t^(w_i)).  Relations must form a
-    Groebner basis (run module_groebner first)."""
-    gvars = pres.ring_vars
-    weights = tuple(var_weights) if var_weights else pres.var_weights
-    gweights = tuple(gen_weights) if gen_weights else pres.generator_weights
+    the common denominator prod(1 - t^i), deg g_i = i.  Relations must form
+    a Groebner basis for the position-over-term weighted deg-lex order (run
+    module_groebner first)."""
+    weights = pres.var_weights
+    gweights = pres.generator_weights
     den = one_minus_t_powers(weights)
     lead_by_pos = {j: [] for j in range(len(gweights))}
     for vec in pres.relations:

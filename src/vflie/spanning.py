@@ -153,15 +153,10 @@ def _power_basis_det(r: int) -> Fraction:
 def shift_determinant_value(r: int, lam, mu) -> Fraction:
     """The degree-r slice determinant at numeric parameters: determinant of
     the endomorphism p_rho z^a -> act_word(rho, z^a) of the degree-r slice,
-    i.e. det(newton matrix) / det(power basis matrix).  Memoized: the shift
-    searches of spanning_generators ask for the same values repeatedly."""
-    return _shift_determinant_value(
-        r, tuple(Fraction(x) for x in lam), tuple(Fraction(x) for x in mu)
-    )
-
-
-@lru_cache(maxsize=4096)
-def _shift_determinant_value(r, lam, mu):
+    i.e. det(newton matrix) / det(power basis matrix), by exact Bareiss
+    elimination.  It is the reference that shift_determinant interpolates;
+    the shift search asks only whether it vanishes and answers that with
+    the slice rank (_slice_rank)."""
     if r == 0:
         return Fraction(1)
     mat, den, cols = _newton_data(r, lam, mu)
@@ -199,28 +194,35 @@ def shift_determinant(r: int, lam, mu, max_r: int = MAX_SYMBOLIC_R) -> MPoly:
 # graded-basis certificates
 
 
+def _slice_rank(desc, sources, w, d=1):
+    """(dimension, candidate count, rank over Q) of the word family on the
+    sources (None: the tail monomials) at weight w.  Sparse vectors are
+    eliminated first.  A rank mod p equal to the slice dimension proves
+    full rank over Q; any other slice is ranked exactly, so the rank is
+    always the rank over Q."""
+    dim = graded_dimension(desc, w)
+    vectors = word_vectors(desc, sources, w, d)
+    family = [
+        terms
+        for _, terms in sorted(vectors, key=lambda lv: (len(lv[1]), lv[0]))
+        if terms
+    ]
+    rank = rank_mod_p(family, limit=dim)
+    if rank != dim:
+        rank = rank_of_vectors(family)
+    return dim, len(vectors), rank
+
+
 def _slice_entries(desc, sources, cutoff, d=1, basis=False):
     """Per-weight rank entries of the word family on the sources (None: the
     tail monomials) and their joint verdict: full rank in every slice, and
-    with basis=True exactly as many candidates as the slice dimension.
-    Sparse vectors are eliminated first.  A rank mod p equal to the slice
-    dimension proves full rank over Q; any other slice is ranked exactly,
-    so the reported rank is always the rank over Q."""
+    with basis=True exactly as many candidates as the slice dimension."""
     weights = []
     for w in range(cutoff + 1):
-        dim = graded_dimension(desc, w)
-        vectors = word_vectors(desc, sources, w, d)
-        family = [
-            terms
-            for _, terms in sorted(vectors, key=lambda lv: (len(lv[1]), lv[0]))
-            if terms
-        ]
-        rank = rank_mod_p(family, limit=dim)
-        if rank != dim:
-            rank = rank_of_vectors(family)
-        ok = rank == dim and (len(vectors) == dim or not basis)
+        dim, candidates, rank = _slice_rank(desc, sources, w, d)
+        ok = rank == dim and (candidates == dim or not basis)
         weights.append(
-            {"weight": w, "dimension": dim, "candidates": len(vectors), "rank": rank, "ok": ok}
+            {"weight": w, "dimension": dim, "candidates": candidates, "rank": rank, "ok": ok}
         )
     return weights, all(entry["ok"] for entry in weights)
 
@@ -265,16 +267,18 @@ def verify_graded_basis(r: int, lam, mu, N, cutoff: int) -> bool:
 
 def _ray_obstruction(r, lam, mu, N, window):
     """First (s, k) with vanishing slice determinant along the coordinate
-    rays of the shifted prefix parameters, or None if all checks pass."""
+    rays of the shifted prefix parameters, or None if all checks pass.  The
+    Newton matrix of T^s is square with the weight-s word family as columns,
+    so its determinant vanishes exactly when that slice's rank falls short."""
     lam = tuple(Fraction(x) for x in lam)
     shifted = tuple(Fraction(m) + n for m, n in zip(mu, N))
     for s in range(1, r + 1):
-        lam_p = lam[:s]
         mu_p = list(shifted[:s])
         base = mu_p[s - 1]
         for k in range(window + 1):
             mu_p[s - 1] = base + k
-            if shift_determinant_value(s, lam_p, tuple(mu_p)) == 0:
+            dim, _, rank = _slice_rank(ModuleDescriptor(s, lam[:s], mu_p), None, s)
+            if rank < dim:
                 return {"s": s, "k": k, "mu": [format_rat(x) for x in mu_p]}
     return None
 

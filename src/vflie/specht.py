@@ -2,12 +2,12 @@
 
 A T-space here is a subspace V of k[x_1..x_n] closed under every diagonal
 substitution x_i -> p(x_i) with one univariate p, p(0) = 0, applied to all
-variables at once.  Two facts drive the computation, both certified by the
-routines below rather than assumed:
+variables at once.  Two facts drive the computation:
 
-* V is closed under taking homogeneous components, because the component of
-  degree m is an explicit rational combination of the dilations f(c x) at
-  finitely many scalars c (a Vandermonde solve, done exactly).
+* V is closed under taking homogeneous components: the dilation x -> c x
+  is a substitution, and the component of degree m is a rational
+  combination of the dilations f(c x) at finitely many distinct scalars c,
+  because their Vandermonde matrix is invertible.
 * In characteristic zero a graded subspace is substitution-closed exactly
   when it is stable under the infinitesimal operators
       D_k f = sum_i x_i^(k+1) df/dx_i,  k >= 1,
@@ -26,7 +26,6 @@ substitutions.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 
 from .exact import Echelon, MPoly, _to_int_vector
 from .pbw_hilbert import RationalSeries, one_minus_t_powers
@@ -70,72 +69,19 @@ def substitute(f: MPoly, p: MPoly) -> MPoly:
     return f.subs_polys(images)
 
 
-def homogeneous_split(f: MPoly, points=None) -> dict:
-    """Homogeneous components of f, {degree: component}, via dilations.
+def homogeneous_split(f: MPoly) -> dict:
+    """Homogeneous components of f, {degree: component}: its terms grouped
+    by total degree.
 
-    The components are recovered as exact linear combinations of the
-    dilations f(c x) at distinct scalars c (default 1, 2, ..., k), which is
-    precisely why a substitution-closed space containing f contains each
-    component.  Repeated points leave the dilation system singular and raise
-    ValueError.  The result is checked against f before returning.
+    A substitution-closed space containing f contains each component: the
+    dilation x -> c x is a substitution, f(c x) = sum_m c^m f_m, and the
+    Vandermonde matrix (c_j^m) at distinct scalars c_j is invertible, so
+    every f_m is a rational combination of finitely many dilations of f.
     """
-    degrees = sorted({sum(e) for e in f.terms})
-    if not degrees:
-        return {}
-    k = len(degrees)
-    if points is None:
-        points = [Fraction(i) for i in range(1, k + 1)]
-    else:
-        points = [Fraction(c) for c in points]
-    if len(points) != k:
-        raise ValueError("need exactly %d evaluation points" % k)
-    if len(set(points)) != k:
-        raise ValueError("evaluation points must be distinct")
-    # rows: f(c_j x) = sum_d c_j^d comp_d; solve the k x k system exactly.
-    rows = [[c ** d for d in degrees] for c in points]
-    dil = []
-    for c in points:
-        if c == 0:
-            dil.append(MPoly(f.variables, {e: q for e, q in f.terms.items() if sum(e) == 0}))
-        else:
-            scaled = {e: q * c ** sum(e) for e, q in f.terms.items()}
-            dil.append(MPoly(f.variables, scaled))
-    combo = _solve_exact(rows, dil, f.variables)
-    out = {}
-    for d, comp in zip(degrees, combo):
-        if not comp.is_zero():
-            out[d] = comp
-    recomposed = MPoly(f.variables)
-    for comp in out.values():
-        recomposed = recomposed + comp
-    if recomposed != f:
-        raise AssertionError("homogeneous split failed to recompose")
-    for d, comp in out.items():
-        if any(sum(e) != d for e in comp.terms):
-            raise AssertionError("component of degree %d is not homogeneous" % d)
-    return out
-
-
-def _solve_exact(rows, rhs, variables):
-    """Solve (rows) * x = rhs for MPoly-valued rhs by Gaussian elimination."""
-    k = len(rows)
-    a = [list(map(Fraction, row)) for row in rows]
-    b = list(rhs)
-    for col in range(k):
-        piv = next((r for r in range(col, k) if a[r][col] != 0), None)
-        if piv is None:
-            raise ValueError("dilation system is singular")
-        a[col], a[piv] = a[piv], a[col]
-        b[col], b[piv] = b[piv], b[col]
-        inv = Fraction(1) / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        b[col] = b[col] * inv
-        for r in range(k):
-            if r != col and a[r][col] != 0:
-                factor = a[r][col]
-                a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
-                b[r] = b[r] - b[col] * factor
-    return b
+    parts = {}
+    for expo, coeff in f.terms.items():
+        parts.setdefault(sum(expo), {})[expo] = coeff
+    return {m: MPoly(f.variables, terms) for m, terms in sorted(parts.items())}
 
 
 class TSpace:

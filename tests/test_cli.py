@@ -147,6 +147,12 @@ def test_usage_errors_exit_64(tmp_path):
     assert run_cli(["hilbert", "--r", "1", "--lam", "0", "--mu", "0", "--bound", "-1"])[0] == 64
     assert run_cli(["phi", "--r", "1", "--lam", "0", "--mu", "0", "--max-r", "-1"])[0] == 64
     assert run_cli(["homology", "--algebra", "L1:1", "--dim-limit", "-1"])[0] == 64
+    # a worker count below one is bad input, not a serial run
+    assert run_cli(["homology", "--algebra", "L1:1", "--p-max", "2", "--w-max", "4", "--jobs", "-3"])[0] == 64
+    assert run_cli(["homology", "--algebra", "L1:1", "--p-max", "2", "--w-max", "4", "--jobs", "0"])[0] == 64
+    # a negative rank is refused by name, before the vectors are read
+    code, _, err = run_cli(["phi", "--r", "-1"])
+    assert code == 64 and "--r" in err
     gens = tmp_path / "gens.json"
     gens.write_text(json.dumps([{"1,1": "1"}]))
     assert run_cli(["specht", "--generators", str(gens), "--cutoff", "-1"])[0] == 64

@@ -69,6 +69,40 @@ def test_shift_determinant_value_matches_polynomial():
             assert shift_determinant_value(r, lam, shifted_mu) == poly.evaluate(
                 {"N": Fraction(t)}
             )
+    # lists, tuples, ints and Fractions are the same parameters
+    assert shift_determinant_value(1, (Fraction(1, 2),), (3,)) == Fraction(4)
+    assert shift_determinant_value(1, [Fraction(1, 2)], [Fraction(3)]) == Fraction(4)
+
+
+def _first_vanishing(r, lam, mu, N, window):
+    """Brute force: the first (s, k, mu prefix) along the coordinate rays
+    where the exact slice determinant is zero."""
+    shifted = [Fraction(m) + n for m, n in zip(mu, N)]
+    for s in range(1, r + 1):
+        for k in range(window + 1):
+            mu_p = shifted[: s - 1] + [shifted[s - 1] + k]
+            if shift_determinant_value(s, lam[:s], mu_p) == 0:
+                return {"s": s, "k": k, "mu": [exact.format_rat(x) for x in mu_p]}
+    return None
+
+
+def test_ray_obstruction_matches_determinants():
+    rng = random.Random(23)
+    # zero parameters at N = 0: the rank-one determinant N + mu + 2 lam is 0
+    cases = [(r, (0,) * r, (0,) * r, (0,) * r, 3) for r in (1, 2, 3)]
+    for _ in range(24):
+        r = rng.randint(1, 3)
+        lam = tuple(Fraction(rng.randint(-4, 4), 2) for _ in range(r))
+        mu = tuple(Fraction(rng.randint(-4, 4), rng.choice((1, 2))) for _ in range(r))
+        N = tuple(rng.randint(0, 2) for _ in range(r))
+        cases.append((r, lam, mu, N, rng.randint(0, 4)))
+    outcomes = set()
+    for r, lam, mu, N, window in cases:
+        found = spanning._ray_obstruction(r, lam, mu, N, window)
+        assert found == _first_vanishing(r, lam, mu, N, window), (r, lam, mu, N, window)
+        outcomes.add(found is None)
+    assert spanning._ray_obstruction(1, (0,), (0,), (0,), 3)["k"] == 0
+    assert outcomes == {True, False}
 
 
 def test_newton_matrix_square_by_count_identity():
@@ -212,6 +246,8 @@ def _certificates():
     out = []
     for r, lam, mu, N, cutoff in CERTIFICATE_CASES:
         out.append(graded_basis_certificate(r, lam, mu, N, cutoff))
+        # the certificate of the searched shift records that shift as "N"
+        out.append(find_good_shift(r, lam, mu, cutoff=cutoff, certificate=True)[1])
         S = [tuple(N[i] + (j == i) for j in range(r)) for i in range(r)] + [tuple(N)]
         out.append(spanning_certificate(S, r, lam, mu, cutoff))
         out.append(spanning_certificate(S, r, lam, mu, cutoff, d=2))
@@ -235,27 +271,3 @@ def test_certificates_match_exact_ranks(monkeypatch):
         counts.append(len(fallbacks))
     # mod 3 some full-rank slices drop, and the exact fallback carries them
     assert counts[1] > counts[0]
-
-
-def test_shift_determinant_value_memoized(monkeypatch):
-    spanning._shift_determinant_value.cache_clear()
-    real = spanning._newton_data
-    computed = []
-    monkeypatch.setattr(
-        spanning, "_newton_data", lambda *args: computed.append(args) or real(*args)
-    )
-    asked = set()
-    real_value = spanning.shift_determinant_value
-    calls = []
-
-    def counting(r, lam, mu):
-        calls.append(1)
-        asked.add((r, tuple(map(Fraction, lam)), tuple(map(Fraction, mu))))
-        return real_value(r, lam, mu)
-
-    monkeypatch.setattr(spanning, "shift_determinant_value", counting)
-    spanning_generators(3, (Fraction(1, 2), -1, 0), (0, Fraction(1, 3), -2), cutoff=10)
-    assert len(calls) > len(asked)  # the searches repeat their questions
-    assert len(computed) == len(asked)  # each distinct determinant is computed once
-    assert shift_determinant_value(1, (Fraction(1, 2),), (3,)) == Fraction(4)
-    assert shift_determinant_value(1, [Fraction(1, 2)], [Fraction(3)]) == Fraction(4)

@@ -69,15 +69,6 @@ def test_homogeneous_split_matches_term_grouping():
             assert comp == MPoly(variables, direct[d])
 
 
-def test_homogeneous_split_rejects_repeated_points():
-    f = MPoly(X1, {(1,): Fraction(1), (2,): Fraction(1)})
-    with pytest.raises(ValueError):
-        homogeneous_split(f, points=[1, 1])
-    # distinct custom points are fine
-    split = homogeneous_split(f, points=[2, 3])
-    assert split[1] == MPoly(X1, {(1,): Fraction(1)})
-
-
 def test_closure_of_a_single_variable():
     ts = closure_basis([MPoly.variable(X1, "x1")], 12)
     assert ts.dimensions() == [0] + [1] * 12
