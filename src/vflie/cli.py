@@ -203,13 +203,10 @@ def _cmd_hilbert(args):
     expected = [graded_dimension(desc, w) for w in range(args.cutoff + 1)]
     by_weight = {}
     for rel in gb.relations:
-        lead = None
-        for pos, poly in enumerate(rel):
-            if not poly.is_zero():
-                for expo in poly.terms:
-                    wd = sum((i + 1) * e for i, e in enumerate(expo))
-                    wt = wd + gb.generator_weights[pos]
-                    lead = wt if lead is None else min(lead, wt)
+        lead = min(
+            gb.generator_weights[pos] + sum((i + 1) * e for i, e in enumerate(expo))
+            for pos, expo in rel
+        )
         by_weight[lead] = by_weight.get(lead, 0) + 1
     payload = {
         "r": args.r,
@@ -237,8 +234,8 @@ def _cmd_hilbert(args):
         lines = ["w,dim"] + ["%d,%d" % (w, dims[w]) for w in range(len(dims))]
         _emit(args, "\n".join(lines) + "\n")
     elif args.format == "text":
-        _emit(args, "num=%s den=%s dims=%s\n" % (
-            series.to_dict()["num"], series.to_dict()["den"], dims))
+        series_dict = payload["series"]
+        _emit(args, "num=%s den=%s dims=%s\n" % (series_dict["num"], series_dict["den"], dims))
     else:
         _emit(args, _json(payload))
     if not payload["dims_match"]:
@@ -256,15 +253,11 @@ def _cmd_homology(args):
         coeffs = hm.TensorCoefficients(ModuleDescriptor(len(lam), lam, mu))
     else:
         coeffs = hm.TrivialCoefficients()
-    table = hm.homology_table(
-        alg, coeffs, args.p_max, args.w_max, dim_limit=args.dim_limit, jobs=args.jobs
-    )
-    if args.format == "csv":
-        _emit(args, hm.table_to_csv(table, args.p_max, args.w_max))
-    elif args.format == "text":
-        _emit(args, hm.table_to_csv(table, args.p_max, args.w_max))
-    else:
+    table = hm.homology_table(alg, coeffs, args.p_max, args.w_max, dim_limit=args.dim_limit)
+    if args.format == "json":
         _emit(args, hm.table_to_json(alg, table, args.p_max, args.w_max))
+    else:
+        _emit(args, hm.table_to_csv(table, args.p_max, args.w_max))
     return EXIT_OK
 
 
@@ -399,7 +392,6 @@ def build_parser() -> _Parser:
     p.add_argument("--p-max", type=_window, default=2)
     p.add_argument("--w-max", type=_window, default=8)
     p.add_argument("--dim-limit", type=_window, default=hm.DEFAULT_DIM_LIMIT)
-    p.add_argument("--jobs", type=int, default=1)
     _add_common(p)
     p.set_defaults(func=_cmd_homology)
 

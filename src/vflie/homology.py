@@ -34,7 +34,6 @@ import csv
 import io
 import json
 from bisect import bisect_left
-from contextlib import nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -305,38 +304,24 @@ def homology_table(
     p_max: int,
     w_max: int,
     dim_limit: int = DEFAULT_DIM_LIMIT,
-    jobs: int = 1,
 ):
     """Exact dims {(p, w): dim H_p(w)} for p <= p_max, w <= w_max.
 
     The table is a finite window, never a completeness statement beyond it.
     Weights are handled one at a time; a chain slice larger than dim_limit
     raises ResourceLimitError naming the slice before any rank at its weight
-    is taken.  jobs > 1 distributes block ranks over a process pool; results
-    are identical to the serial path.  jobs < 1 raises ValueError.
+    is taken.
     """
-    if jobs < 1:
-        raise ValueError("jobs must be >= 1, got %d" % jobs)
     coeffs.validate(alg)
     cx = _Complex(alg, coeffs, _field_top(alg, p_max + 1, w_max))
     table = {}
-    if jobs > 1:
-        # imported here: it is a fifth of the package's import time
-        from concurrent.futures import ProcessPoolExecutor
-
-        pool_context = ProcessPoolExecutor(max_workers=jobs)
-    else:
-        pool_context = nullcontext()
-    with pool_context as pool:
-        run = pool.map if pool else map
-        for w in range(w_max + 1):
-            table.update(_weight_table(cx, p_max, w, dim_limit, run))
+    for w in range(w_max + 1):
+        table.update(_weight_table(cx, p_max, w, dim_limit))
     return table
 
 
-def _weight_table(cx: _Complex, p_max: int, w: int, dim_limit: int, run):
-    """{(p, w): dim H_p(w)} for p <= p_max at one weight; run maps a rank
-    function over block vector families."""
+def _weight_table(cx: _Complex, p_max: int, w: int, dim_limit: int):
+    """{(p, w): dim H_p(w)} for p <= p_max at one weight."""
     blocks = []  # per p: {torus weight: [chain keys]}
     for p in range(p_max + 2):
         basis = chain_basis(cx.alg, cx.coeffs, p, w)
@@ -361,31 +346,23 @@ def _weight_table(cx: _Complex, p_max: int, w: int, dim_limit: int, run):
     # rank that reaches its bound is exact.
     families, ranks = {}, {}
     for p in range(1, p_max + 2):
-        level = {}
         for t, cols in blocks[p].items():
             rows = blocks[p - 1].get(t)
             if rows:
                 row_of = {key: i for i, key in enumerate(rows)}
                 family = sorted((cx.column(key, row_of) for key in cols), key=len)
                 families[p, t] = family
-                level[p, t] = (family, min(len(rows) - rank(p - 1, t), len(cols)))
-        ranks.update(zip(level, run(_rank_task, level.values())))
+                ranks[p, t] = rank_mod_p(family, limit=min(len(rows) - rank(p - 1, t), len(cols)))
     open_blocks = [
         (p, t)
         for (p, t) in families
         if rank(p, t) < min(dim(p - 1, t) - rank(p - 1, t), dim(p, t) - rank(p + 1, t))
     ]
-    ranks.update(zip(open_blocks, run(rank_of_vectors, [families[b] for b in open_blocks])))
+    ranks.update((b, rank_of_vectors(families[b])) for b in open_blocks)
     return {
         (p, w): sum(len(chains) - rank(p, t) - rank(p + 1, t) for t, chains in blocks[p].items())
         for p in range(p_max + 1)
     }
-
-
-def _rank_task(task):
-    """Mod-p rank of a (block family, upper bound) pair."""
-    family, limit = task
-    return rank_mod_p(family, limit=limit)
 
 
 def table_to_csv(table, p_max: int, w_max: int) -> str:

@@ -20,7 +20,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 
-from .exact import Echelon, MPoly, interpolate
+from .exact import Echelon, _cross, _strip_gcd_pair, _to_int_vector, interpolate
 from .tensormod import ModuleDescriptor, word_vectors
 
 __all__ = [
@@ -36,22 +36,15 @@ __all__ = [
 ]
 
 
-def normal_order_word(mono) -> tuple:
+def normal_order_word(expo) -> tuple:
     """Left-normalized word of a commutative monomial in g_1..g_r.
 
-    Input is an exponent tuple (a_1, ..., a_r) or a single-term MPoly; the
-    result lists generator indices in product order, e.g. g_1 g_2^2 ->
-    (1, 2, 2).  Applied to a module element (rightmost letter first) this
-    equals act_word((a_1, ..., a_r), m).
+    Input is an exponent tuple (a_1, ..., a_r); the result lists generator
+    indices in product order, e.g. g_1 g_2^2 -> (1, 2, 2).  Applied to a
+    module element (rightmost letter first) this equals
+    act_word((a_1, ..., a_r), m).
     """
-    if isinstance(mono, MPoly):
-        if len(mono.terms) != 1:
-            raise ValueError("normal_order_word expects a single monomial")
-        ((expo, coeff),) = mono.terms.items()
-        if coeff != 1:
-            raise ValueError("normal_order_word expects a monic monomial")
-        mono = expo
-    expo = tuple(int(a) for a in mono)
+    expo = tuple(int(a) for a in expo)
     if any(a < 0 for a in expo):
         raise ValueError("negative exponent")
     word = []
@@ -62,30 +55,23 @@ def normal_order_word(mono) -> tuple:
 
 @dataclass
 class PolyModulePresentation:
-    """Free module presentation over k[g_1..g_r]: generator weights plus a
-    list of relation vectors (one MPoly in the g's per generator slot).
+    """Free module presentation over k[g_1..g_r], deg g_i = i: generator
+    weights plus a list of relation vectors.
+
+    A relation vector is a sparse integer dict {(slot, g-exponent): c}, the
+    coefficient c of g^exponent in generator slot `slot`.  Harvested and
+    Groebner relations are primitive with a positive leading coefficient
+    under the position-over-term order below.
 
     A harvested presentation also records, for each weight w up to its
     cutoff, the harvest rank: the number of word columns at w minus the
     number of relations harvested at w.
     """
 
-    ring_vars: tuple
+    r: int
     generator_weights: tuple
     relations: list
     harvest_ranks: tuple = ()
-
-    @property
-    def num_generators(self) -> int:
-        return len(self.generator_weights)
-
-    @property
-    def var_weights(self) -> tuple:
-        return tuple(i + 1 for i in range(len(self.ring_vars)))
-
-
-def _g_vars(r: int) -> tuple:
-    return tuple("g%d" % (i + 1) for i in range(r))
 
 
 def associated_graded_presentation(
@@ -108,8 +94,6 @@ def associated_graded_presentation(
     weight, with equality throughout the window exactly when the harvest is
     closed under the g_i there.
     """
-    r = descriptor.r
-    gvars = _g_vars(r)
     gens = sorted(tuple(int(a) for a in s) for s in S)
     gen_weights = tuple(sum(s) for s in gens)
     relations = []
@@ -121,190 +105,158 @@ def associated_graded_presentation(
                 columns.append((sum(b), b, j, vec))
         columns.sort(key=lambda col: col[:3])
         ech = Echelon(track=True)
-        labels = []
-        for length, b, j, vec in columns:
-            labels.append((length, b, j))
+        for length, _, _, vec in columns:
             combo = ech.insert(vec)
-            if combo is None:
-                continue
-            parts = {}
-            for idx, coeff in combo.items():
-                llen, lb, lj = labels[idx]
-                if llen != length:
-                    continue
-                parts.setdefault(lj, {})[lb] = coeff
-            relation = tuple(
-                MPoly(gvars, parts.get(j2, {})) for j2 in range(len(gens))
-            )
-            relations.append(_normalize_relation(relation, gvars))
+            if combo is not None:
+                top = {}
+                for i, c in combo.items():
+                    llen, lb, lj, _ = columns[i]
+                    if llen == length:
+                        top[lj, lb] = c
+                relations.append(_normalize(_to_int_vector(top)[0]))
         ranks.append(ech.rank)
-    return PolyModulePresentation(gvars, gen_weights, relations, tuple(ranks))
-
-
-def _normalize_relation(relation, gvars):
-    """Scale a relation vector to primitive integers with a deterministic
-    positive sign."""
-    denom = 1
-    for poly in relation:
-        for c in poly.terms.values():
-            denom = denom * c.denominator // math.gcd(denom, c.denominator)
-    content = 0
-    for poly in relation:
-        for c in poly.terms.values():
-            content = math.gcd(content, c.numerator * (denom // c.denominator))
-    if content == 0:
-        return relation
-    scale = Fraction(denom, content)
-    first = None
-    for poly in relation:
-        if poly.terms:
-            _, lead = poly.leading()
-            first = lead * scale
-            break
-    if first is not None and first < 0:
-        scale = -scale
-    return tuple(poly * scale for poly in relation)
+    return PolyModulePresentation(descriptor.r, gen_weights, relations, tuple(ranks))
 
 
 # ---------------------------------------------------------------------------
 # module Groebner bases (position over term, weighted deg-lex)
 
 
-def _wdeg(expo, weights):
-    return sum(w * e for w, e in zip(weights, expo))
+def _wdeg(expo):
+    """Weighted degree of a g-exponent, deg g_i = i."""
+    return sum((i + 1) * a for i, a in enumerate(expo))
 
 
-def _term_key(pos, expo, weights):
+def _term_key(term):
     # positions: earlier generator wins; then weighted degree, then lex
-    return (-pos, _wdeg(expo, weights), expo)
+    pos, expo = term
+    return (-pos, _wdeg(expo), expo)
 
 
-def _leading_term(vec, weights):
-    """((pos, expo), coeff) of the maximal term of a relation vector."""
-    best = None
-    for pos, poly in enumerate(vec):
-        for expo, coeff in poly.terms.items():
-            key = _term_key(pos, expo, weights)
-            if best is None or key > best[0]:
-                best = (key, pos, expo, coeff)
-    if best is None:
-        return None
-    return (best[1], best[2]), best[3]
+def _lead(vec):
+    """(slot, exponent) of the maximal term of a nonzero relation vector."""
+    return max(vec, key=_term_key)
+
+
+def _normalize(vec):
+    """A nonzero integer relation vector divided by its content, signed so
+    that its leading coefficient is positive."""
+    g = math.gcd(*vec.values())
+    if vec[_lead(vec)] < 0:
+        g = -g
+    return {term: c // g for term, c in vec.items()}
 
 
 def _divides(e1, e2):
     return all(a <= b for a, b in zip(e1, e2))
 
 
-def _vec_sub(u, v):
-    return tuple(a - b for a, b in zip(u, v))
+def _times(vec, expo):
+    """g^expo times a relation vector."""
+    return {
+        (pos, tuple(a + b for a, b in zip(e, expo))): c for (pos, e), c in vec.items()
+    }
 
 
-def _vec_mul_mono(vec, expo, coeff, gvars):
-    shift = MPoly(gvars, {tuple(expo): coeff})
-    return tuple(p * shift for p in vec)
-
-
-def _vec_is_zero(vec):
-    return all(p.is_zero() for p in vec)
-
-
-def _basis_entry(vec, weights):
-    """(vec, leading (pos, expo), leading coefficient) of a nonzero vector."""
-    lt, lc = _leading_term(vec, weights)
-    return vec, lt, lc
-
-
-def _s_vector(bi, bj, gvars):
-    """S-vector of two basis entries that lead in the same position."""
-    (vi, (_, ei), ci), (vj, (_, ej), cj) = bi, bj
+def _s_vector(bi, bj):
+    """Integer S-vector of two basis entries (vec, lead) that lead in the
+    same position."""
+    (vi, (pos, ei)), (vj, (_, ej)) = bi, bj
     lcm = tuple(max(a, b) for a, b in zip(ei, ej))
-    si = _vec_mul_mono(vi, _vec_sub(lcm, ei), Fraction(1) / ci, gvars)
-    sj = _vec_mul_mono(vj, _vec_sub(lcm, ej), Fraction(1) / cj, gvars)
-    return tuple(a - b for a, b in zip(si, sj))
+    ci, cj = vi[pos, ei], vj[pos, ej]
+    g = math.gcd(ci, cj)
+    return _cross(
+        _times(vi, tuple(a - b for a, b in zip(lcm, ei))),
+        _times(vj, tuple(a - b for a, b in zip(lcm, ej))),
+        cj // g,
+        ci // g,
+    )
 
 
-def _reduce_vector(vec, basis, weights, gvars):
-    """Full normal form of vec against basis (list of (vec, lt, lc))."""
-    result = [MPoly(gvars) for _ in vec]
-    work = list(vec)
-    while not _vec_is_zero(tuple(work)):
-        lt = _leading_term(tuple(work), weights)
-        (pos, expo), coeff = lt
-        reduced = False
-        for bvec, (bpos, bexpo), bcoeff in basis:
+def _reduce_vector(vec, basis):
+    """Full normal form of an integer vector against basis entries
+    (vec, lead), up to a nonzero integer multiple.
+
+    Each step is the echelon's: cross-multiply by the two leading
+    coefficients over their gcd, then strip the content the working vector
+    shares with the part already reduced, which is scaled along with it.
+    """
+    work, done = dict(vec), {}
+    while work:
+        lt = _lead(work)
+        pos, expo = lt
+        for bvec, (bpos, bexpo) in basis:
             if bpos == pos and _divides(bexpo, expo):
-                factor = _vec_mul_mono(
-                    bvec, _vec_sub(expo, bexpo), coeff / bcoeff, gvars
-                )
-                work = [w - f for w, f in zip(work, factor)]
-                reduced = True
+                a, b = work[lt], bvec[bpos, bexpo]
+                g = math.gcd(a, b)
+                row = _times(bvec, tuple(x - y for x, y in zip(expo, bexpo)))
+                scale = b // g
+                work = _cross(work, row, scale, a // g)
+                done = {term: c * scale for term, c in done.items()}
+                _strip_gcd_pair(work, done)
                 break
-        if not reduced:
-            result[pos] = result[pos] + MPoly(gvars, {expo: coeff})
-            work[pos] = work[pos] - MPoly(gvars, {expo: coeff})
-    return tuple(result)
+        else:
+            done[lt] = work.pop(lt)
+    return done
 
 
 def module_groebner(pres: PolyModulePresentation) -> PolyModulePresentation:
     """Reduced Groebner basis of the relation module, built reduce-first.
 
     Order: position over term (earlier generators dominate), monomials by
-    weighted degree (deg g_i = i) then lex.  Input relations and S-pairs
-    wait in one queue, lowest weight first (the weight of the leading term,
-    generator weight included), inputs before S-pairs of the same weight and
-    inputs in their given order; a weight-homogeneous harvest is thus read
-    in harvest order.  Each item taken from the queue is reduced to its
-    normal form against the basis built so far.  A zero normal form means
-    the relation already lies in the module of that basis, and it is
-    dropped: it never joins the basis and forms no S-pair.  A nonzero one
-    joins the basis and queues its S-pairs with the entries leading in the
-    same position; under position over term no other S-vector arises.
-    Harvested relations are mostly g-multiples of earlier ones, so most are
-    dropped.  Taking low weights first keeps a high-weight remainder from
-    joining before the lower-weight relations that would reduce it.
+    weighted degree (deg g_i = i) then lex.  Input relations may carry
+    Fraction values; each is scaled to integers first.  Input relations and
+    S-pairs wait in one queue, lowest weight first (the weight of the
+    leading term, generator weight included), inputs before S-pairs of the
+    same weight and inputs in their given order; a weight-homogeneous
+    harvest is thus read in harvest order.  Each item taken from the queue
+    is reduced to its normal form against the basis built so far.  A zero
+    normal form means the relation already lies in the module of that
+    basis, and it is dropped: it never joins the basis and forms no S-pair.
+    A nonzero one joins the basis and queues its S-pairs with the entries
+    leading in the same position; under position over term no other
+    S-vector arises.  Harvested relations are mostly g-multiples of earlier
+    ones, so most are dropped.  Taking low weights first keeps a high-weight
+    remainder from joining before the lower-weight relations that would
+    reduce it.
 
     The basis is then minimalized, inter-reduced, normalized and sorted by
     leading term.  A module has one reduced Groebner basis for a given
-    order, up to the scale of its elements, and _normalize_relation fixes
-    that scale, so the output depends only on the module the relations
-    generate, not on their order or on how they were found.
+    order, up to the scale of its elements, and _normalize fixes that
+    scale, so the output depends only on the module the relations
+    generate, not on their order, their scale or how they were found.
     """
-    gvars = pres.ring_vars
-    weights = pres.var_weights
+    gen_weights = pres.generator_weights
 
     def weight(pos, expo):
-        return pres.generator_weights[pos] + _wdeg(expo, weights)
+        return gen_weights[pos] + _wdeg(expo)
 
+    relations = [_to_int_vector(vec)[0] for vec in pres.relations]
     # (weight, 0, input index) or (weight, 1, (i, j)) for an S-pair
-    queue = []
-    for seq, vec in enumerate(pres.relations):
-        if not _vec_is_zero(vec):
-            (pos, expo), _ = _leading_term(vec, weights)
-            queue.append((weight(pos, expo), 0, seq))
+    queue = [(weight(*_lead(vec)), 0, seq) for seq, vec in enumerate(relations) if vec]
     heapq.heapify(queue)
     basis = []
     while queue:
         _, kind, key = heapq.heappop(queue)
         if kind == 0:
-            vec = pres.relations[key]
+            vec = relations[key]
         else:
-            vec = _s_vector(basis[key[0]], basis[key[1]], gvars)
-        nf = _reduce_vector(vec, basis, weights, gvars)
-        if _vec_is_zero(nf):
+            vec = _s_vector(basis[key[0]], basis[key[1]])
+        nf = _reduce_vector(vec, basis)
+        if not nf:
             continue
-        entry = _basis_entry(nf, weights)
-        pos, expo = entry[1]
-        for m, (_, (bpos, bexpo), _) in enumerate(basis):
+        nf = _normalize(nf)
+        pos, expo = _lead(nf)
+        for m, (_, (bpos, bexpo)) in enumerate(basis):
             if bpos == pos:
                 lcm = tuple(max(x, y) for x, y in zip(expo, bexpo))
                 heapq.heappush(queue, (weight(pos, lcm), 1, (m, len(basis))))
-        basis.append(entry)
+        basis.append((nf, (pos, expo)))
     # minimal basis: drop anything whose leading term another element divides
     minimal = []
-    for idx, (vec, (pos, expo), lc) in enumerate(basis):
+    for idx, (vec, (pos, expo)) in enumerate(basis):
         dominated = False
-        for m, (_, (bpos, bexpo), _) in enumerate(basis):
+        for m, (_, (bpos, bexpo)) in enumerate(basis):
             if m == idx or bpos != pos or not _divides(bexpo, expo):
                 continue
             if _divides(expo, bexpo) and m > idx:
@@ -312,27 +264,24 @@ def module_groebner(pres: PolyModulePresentation) -> PolyModulePresentation:
             dominated = True
             break
         if not dominated:
-            minimal.append((vec, (pos, expo), lc))
-    minimal.sort(key=lambda entry: (entry[1][0], _wdeg(entry[1][1], weights), entry[1][1]))
-    out = []
-    for i, (vec, lt, lc) in enumerate(minimal):
-        rest = [minimal[m] for m in range(len(minimal)) if m != i]
-        nf = _reduce_vector(vec, rest, weights, gvars) if rest else vec
-        out.append(_normalize_relation(nf, gvars))
-    return PolyModulePresentation(gvars, pres.generator_weights, out)
+            minimal.append((vec, (pos, expo)))
+    minimal.sort(key=lambda entry: (entry[1][0], _wdeg(entry[1][1]), entry[1][1]))
+    out = [
+        _normalize(_reduce_vector(vec, minimal[:i] + minimal[i + 1 :]))
+        for i, (vec, _) in enumerate(minimal)
+    ]
+    return PolyModulePresentation(pres.r, gen_weights, out)
 
 
 def groebner_self_test(pres: PolyModulePresentation) -> bool:
-    """Confluence check: every S-vector of the basis reduces to zero."""
-    gvars = pres.ring_vars
-    weights = pres.var_weights
-    basis = [_basis_entry(vec, weights) for vec in pres.relations if not _vec_is_zero(vec)]
-    for bi, bj in combinations(basis, 2):
-        if bi[1][0] != bj[1][0]:
-            continue
-        if not _vec_is_zero(_reduce_vector(_s_vector(bi, bj, gvars), basis, weights, gvars)):
-            return False
-    return True
+    """Confluence check on integer relations, as module_groebner returns
+    them: every S-vector of the basis reduces to zero."""
+    basis = [(vec, _lead(vec)) for vec in pres.relations if vec]
+    return not any(
+        _reduce_vector(_s_vector(bi, bj), basis)
+        for bi, bj in combinations(basis, 2)
+        if bi[1][0] == bj[1][0]
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -438,9 +387,9 @@ def _reduce_fraction(num, den):
     return num_i or [0], den_i
 
 
-def _monomial_quotient_numerator(gens, weights):
-    """Numerator of Hilbert(k[g]/I) over prod(1 - t^(w_i)) for the monomial
-    ideal I generated by gens (exponent tuples, weighted variables)."""
+def _monomial_quotient_numerator(gens):
+    """Numerator of Hilbert(k[g]/I) over prod(1 - t^i) for the monomial
+    ideal I generated by gens (exponent tuples, deg g_i = i)."""
     gens = _minimalize(gens)
 
     @lru_cache(maxsize=None)
@@ -457,7 +406,7 @@ def _monomial_quotient_numerator(gens, weights):
         )
         base = rec(tuple(rest))
         sub = rec(tuple(sorted(colon)))
-        shift = _wdeg(pick, weights)
+        shift = _wdeg(pick)
         out = list(base) + [0] * max(0, shift + len(sub) - len(base))
         for i, c in enumerate(sub):
             out[shift + i] -= c
@@ -484,20 +433,18 @@ def hilbert_series(pres: PolyModulePresentation) -> RationalSeries:
     the common denominator prod(1 - t^i), deg g_i = i.  Relations must form
     a Groebner basis for the position-over-term weighted deg-lex order (run
     module_groebner first)."""
-    weights = pres.var_weights
     gweights = pres.generator_weights
-    den = one_minus_t_powers(weights)
     lead_by_pos = {j: [] for j in range(len(gweights))}
     for vec in pres.relations:
-        if _vec_is_zero(vec):
-            continue
-        (pos, expo), _ = _leading_term(vec, weights)
-        lead_by_pos[pos].append(expo)
+        if vec:
+            pos, expo = _lead(vec)
+            lead_by_pos[pos].append(expo)
     num = []
     for j, gw in enumerate(gweights):
-        part = _monomial_quotient_numerator(lead_by_pos[j], weights)
+        part = _monomial_quotient_numerator(lead_by_pos[j])
         shifted = [Fraction(0)] * gw + part
         num = _padd(num, shifted)
+    den = one_minus_t_powers(range(1, pres.r + 1))
     return RationalSeries(*_reduce_fraction(num, den))
 
 

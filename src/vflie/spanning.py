@@ -447,7 +447,7 @@ def dilated_generators(
         mu_res = tuple(
             (mu[i] + residue[i] + lam[i]) / d - lam[i] for i in range(r)
         )
-        sub = spanning_generators(r, lam, mu_res, cutoff=inner_cutoff, bound=DEFAULT_BOUND)
+        sub = spanning_generators(r, lam, mu_res, cutoff=inner_cutoff, bound=bound)
         for t in sub:
             gens.add(tuple(d * t[i] + residue[i] for i in range(r)))
     return GeneratorSet(tuple(gens))

@@ -66,6 +66,15 @@ def test_span_dilated():
     assert payload["generators"] == [[0], [1], [2]]
 
 
+def test_span_dilated_honours_bound():
+    # --bound limits the shift search of every residue module
+    argv = ["span", "--r", "1", "--lam=-3", "--mu=0", "--cutoff", "8", "--d", "2"]
+    assert run_cli(argv)[0] == 0
+    code, out, err = run_cli(argv + ["--bound", "0"])
+    assert code == 2 and out == "", err
+    assert "bound 0" in err, err
+
+
 def test_hilbert_pipeline():
     code, out, _ = run_cli(["hilbert", "--r", "2", "--lam", "0,0", "--mu", "0,0", "--cutoff", "10"])
     assert code == 0
@@ -147,9 +156,6 @@ def test_usage_errors_exit_64(tmp_path):
     assert run_cli(["hilbert", "--r", "1", "--lam", "0", "--mu", "0", "--bound", "-1"])[0] == 64
     assert run_cli(["phi", "--r", "1", "--lam", "0", "--mu", "0", "--max-r", "-1"])[0] == 64
     assert run_cli(["homology", "--algebra", "L1:1", "--dim-limit", "-1"])[0] == 64
-    # a worker count below one is bad input, not a serial run
-    assert run_cli(["homology", "--algebra", "L1:1", "--p-max", "2", "--w-max", "4", "--jobs", "-3"])[0] == 64
-    assert run_cli(["homology", "--algebra", "L1:1", "--p-max", "2", "--w-max", "4", "--jobs", "0"])[0] == 64
     # a negative rank is refused by name, before the vectors are read
     code, _, err = run_cli(["phi", "--r", "-1"])
     assert code == 64 and "--r" in err

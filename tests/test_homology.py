@@ -112,16 +112,6 @@ def test_table_stable_under_larger_p_max():
             assert small[(p, w)] == large[(p, w)]
 
 
-def test_parallel_matches_serial():
-    serial = homology_table(L1, TRIV, 2, 8, jobs=1)
-    parallel = homology_table(L1, TRIV, 2, 8, jobs=2)
-    assert serial == parallel
-    two_variables = AlgebraDescriptor(2, d=1, flavor="L")
-    assert homology_table(two_variables, TRIV, 2, 6, jobs=2) == homology_table(
-        two_variables, TRIV, 2, 6
-    )
-
-
 def test_euler_characteristic_per_weight():
     for alg, coeffs in (
         (L2, TRIV),

@@ -1,12 +1,13 @@
 """Associated-graded presentations, module bases, Hilbert series."""
 
+import math
 import random
 from fractions import Fraction
 from math import comb
 
 import pytest
 
-from vflie.exact import Echelon, MPoly
+from vflie.exact import Echelon
 from vflie.pbw_hilbert import (
     PolyModulePresentation,
     RationalSeries,
@@ -24,14 +25,9 @@ from vflie.tensormod import ModuleDescriptor, graded_dimension
 def test_normal_order_word_from_tuple():
     assert normal_order_word((2, 0, 1)) == (1, 1, 3)
     assert normal_order_word((0, 0)) == ()
-
-
-def test_normal_order_word_from_monomial():
-    m = MPoly(("g1", "g2"), {(1, 2): Fraction(1)})
-    assert normal_order_word(m) == (1, 2, 2)
-    bad = MPoly(("g1",), {(1,): Fraction(2)})
+    assert normal_order_word((1, 2)) == (1, 2, 2)
     with pytest.raises(ValueError):
-        normal_order_word(bad)
+        normal_order_word((1, -1))
 
 
 def test_free_rank_one_module():
@@ -59,13 +55,17 @@ def test_relations_are_weight_homogeneous():
     desc = ModuleDescriptor(2, (Fraction(0),) * 2, (Fraction(0),) * 2)
     S = [tuple(s) for s in spanning_generators(2, desc.lam, desc.mu)]
     pres = associated_graded_presentation(desc, S, 8)
+    gb = module_groebner(pres)
+    assert pres.relations and gb.relations
     for rel in pres.relations:
-        weights = set()
-        for pos, poly in enumerate(rel):
-            for expo in poly.terms:
-                wd = sum((i + 1) * e for i, e in enumerate(expo))
-                weights.add(wd + pres.generator_weights[pos])
+        weights = {pres.generator_weights[pos] + _wdeg(expo) for pos, expo in rel}
         assert len(weights) == 1, rel
+    # harvested and Groebner relations: primitive integer vectors with a
+    # positive leading coefficient
+    for rel in pres.relations + gb.relations:
+        assert rel and all(type(c) is int for c in rel.values()), rel
+        assert math.gcd(*rel.values()) == 1, rel
+        assert rel[_lead(rel)] > 0, rel
 
 
 def test_series_matches_module_dimensions_random():
@@ -85,11 +85,9 @@ def test_series_matches_module_dimensions_random():
 
 
 def test_module_groebner_completes_a_gap():
-    gvars = ("g1", "g2")
-    one = Fraction(1)
-    rel1 = (MPoly(gvars, {(1, 1): one}),)            # g1 g2
-    rel2 = (MPoly(gvars, {(2, 0): one, (0, 1): -one}),)  # g1^2 - g2
-    pres = PolyModulePresentation(gvars, (0,), (rel1, rel2))
+    rel1 = {(0, (1, 1)): 1}                    # g1 g2
+    rel2 = {(0, (2, 0)): 1, (0, (0, 1)): -1}   # g1^2 - g2
+    pres = PolyModulePresentation(2, (0,), [rel1, rel2])
     assert not groebner_self_test(pres)
     gb = module_groebner(pres)
     assert groebner_self_test(gb)
@@ -140,70 +138,69 @@ def _monomials(n, r):
     ]
 
 
+def _wdeg(expo):
+    return sum((i + 1) * a for i, a in enumerate(expo))
+
+
 def _random_presentation(rng):
     """A homogeneous presentation with 1-3 generator slots over k[g_1..g_r],
     r <= 3, small integer coefficients, and some relations that are
     combinations of g-multiples of earlier ones."""
     r = rng.randint(1, 3)
-    gvars = tuple("g%d" % (i + 1) for i in range(r))
     gen_weights = tuple(rng.randint(0, 2) for _ in range(rng.randint(1, 3)))
     relations = []
     count = rng.randint(1, 5)
     while len(relations) < count:
         d = rng.randint(max(gen_weights) + 1, max(gen_weights) + 4)
-        rel = []
-        for gw in gen_weights:
+        rel = {}
+        for j, gw in enumerate(gen_weights):
             monos = _monomials(d - gw, r)
-            terms = {}
             for expo in rng.sample(monos, min(len(monos), rng.randint(0, 2))):
-                terms[expo] = Fraction(rng.choice([-3, -2, -1, 1, 2, 3]))
-            rel.append(MPoly(gvars, terms))
-        if any(poly.terms for poly in rel):
-            relations.append((d, tuple(rel)))
+                rel[j, expo] = rng.choice([-3, -2, -1, 1, 2, 3])
+        if rel:
+            relations.append((d, rel))
     for _ in range(rng.randint(0, 3)):
         (d1, rel1), (d2, rel2) = rng.choice(relations), rng.choice(relations)
         d = max(d1, d2) + rng.randint(0, 2)
-        m1 = MPoly(gvars, {rng.choice(_monomials(d - d1, r)): Fraction(rng.randint(-2, 2))})
-        m2 = MPoly(gvars, {rng.choice(_monomials(d - d2, r)): Fraction(rng.randint(-2, 2))})
-        relations.append((d, tuple(p1 * m1 + p2 * m2 for p1, p2 in zip(rel1, rel2))))
-    return PolyModulePresentation(gvars, gen_weights, [rel for _, rel in relations])
+        combo = {}
+        for dk, relk in ((d1, rel1), (d2, rel2)):
+            b, c = rng.choice(_monomials(d - dk, r)), rng.randint(-2, 2)
+            for (j, e), x in relk.items():
+                key = (j, tuple(p + q for p, q in zip(e, b)))
+                combo[key] = combo.get(key, 0) + c * x
+        relations.append((d, {k: x for k, x in combo.items() if x}))
+    return PolyModulePresentation(r, gen_weights, [rel for _, rel in relations])
 
 
 def _brute_force_dims(pres, upto):
     """dim (F/R)_w for w <= upto: the free count minus the rank of all
     g^b * R at weight w, by exact elimination."""
-    r = len(pres.ring_vars)
+    r = pres.r
     dims = []
     for w in range(upto + 1):
         free = sum(len(_monomials(w - gw, r)) for gw in pres.generator_weights if gw <= w)
         ech = Echelon()
         for rel in pres.relations:
-            terms = [(j, e) for j, poly in enumerate(rel) for e in poly.terms]
-            if not terms:
+            if not rel:
                 continue
-            j, expo = terms[0]
-            d = pres.generator_weights[j] + sum((i + 1) * a for i, a in enumerate(expo))
+            j, expo = next(iter(rel))
+            d = pres.generator_weights[j] + _wdeg(expo)
             if d > w:
                 continue
             for b in _monomials(w - d, r):
-                vec = {}
-                for j, poly in enumerate(rel):
-                    for e, c in poly.terms.items():
-                        vec[(j, tuple(x + y for x, y in zip(e, b)))] = c
-                ech.insert(vec)
+                ech.insert({(k, tuple(x + y for x, y in zip(e, b))): c for (k, e), c in rel.items()})
         dims.append(free - ech.rank)
     return dims
 
 
-def _lead(rel, r):
+def _lead(rel):
     """(position, exponent) of the largest term: earlier positions first,
     then weighted degree, then lex."""
-    terms = [(j, e) for j, poly in enumerate(rel) for e in poly.terms]
-    return max(terms, key=lambda t: (-t[0], sum((i + 1) * a for i, a in enumerate(t[1])), t[1]))
+    return max(rel, key=lambda t: (-t[0], _wdeg(t[1]), t[1]))
 
 
 def _as_data(pres):
-    return [tuple(tuple(sorted(poly.terms.items())) for poly in rel) for rel in pres.relations]
+    return [sorted(rel.items()) for rel in pres.relations]
 
 
 def test_module_groebner_oracle_random():
@@ -211,20 +208,25 @@ def test_module_groebner_oracle_random():
     upto = 8
     for _ in range(40):
         pres = _random_presentation(rng)
-        r = len(pres.ring_vars)
         gb = module_groebner(pres)
         assert groebner_self_test(gb)
         dims = [int(c) for c in hilbert_series(gb).expand(upto)]
         assert dims == _brute_force_dims(pres, upto), _as_data(pres)
         # reduced: no term of an element is divisible by another's leading term
-        leads = [_lead(rel, r) for rel in gb.relations]
+        leads = [_lead(rel) for rel in gb.relations]
         for k, rel in enumerate(gb.relations):
-            for j, poly in enumerate(rel):
-                for expo in poly.terms:
-                    for m, (lj, le) in enumerate(leads):
-                        if m != k and lj == j:
-                            assert not all(a <= b for a, b in zip(le, expo)), _as_data(gb)
+            for j, expo in rel:
+                for m, (lj, le) in enumerate(leads):
+                    if m != k and lj == j:
+                        assert not all(a <= b for a, b in zip(le, expo)), _as_data(gb)
         shuffled = list(pres.relations)
         rng.shuffle(shuffled)
-        again = module_groebner(PolyModulePresentation(pres.ring_vars, pres.generator_weights, shuffled))
+        again = module_groebner(PolyModulePresentation(pres.r, pres.generator_weights, shuffled))
+        assert _as_data(again) == _as_data(gb)
+        # the same relations scaled by nonzero rationals give the same basis
+        scaled = []
+        for rel in pres.relations:
+            q = Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 9))
+            scaled.append({k: q * c for k, c in rel.items()})
+        again = module_groebner(PolyModulePresentation(pres.r, pres.generator_weights, scaled))
         assert _as_data(again) == _as_data(gb)
