@@ -7,7 +7,7 @@ used anywhere, so every certificate, rank, and dimension in this package is
 exact.
 """
 
-from .exact import Echelon, MPoly, SparseMat, format_rat, parse_rat, rat
+from .exact import Echelon, SparseMat, format_rat, parse_rat, rat
 from .liealg import (
     AlgebraDescriptor,
     LieElement,
@@ -77,10 +77,7 @@ from .homology import (
 from .specht import (
     TSpace,
     closure_basis,
-    homogeneous_split,
-    substitute,
     tspace_series,
-    variables_tuple,
 )
 
 __version__ = "0.1.0"

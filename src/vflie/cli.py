@@ -15,7 +15,7 @@ import json
 import sys
 from math import comb
 
-from .exact import MPoly, format_rat, parse_rat
+from .exact import format_rat, parse_rat
 from .liealg import AlgebraDescriptor
 from .pbw_hilbert import (
     associated_graded_presentation,
@@ -35,7 +35,7 @@ from .spanning import (
     spanning_certificate,
     spanning_generators,
 )
-from .specht import closure_basis, tspace_series, variables_tuple
+from .specht import closure_basis, tspace_series
 from .tensormod import ModuleDescriptor, decompose_coinduced, graded_dimension, weight_support
 from . import homology as hm
 
@@ -95,13 +95,23 @@ def _json(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
-def _poly_coeffs(poly: MPoly):
-    """Ascending univariate coefficients as p/q strings."""
-    deg = poly.total_degree()
-    out = []
-    for k in range(deg + 1):
-        out.append(format_rat(poly.coefficient((k,))))
-    return out
+def _format_poly(coeffs) -> str:
+    """The polynomial in N with these ascending coefficients, highest power
+    first: ``N^3 - 1/2*N + 2``, or ``0``."""
+    terms = []
+    for k in range(len(coeffs) - 1, -1, -1):
+        c = coeffs[k]
+        if not c:
+            continue
+        body = format_rat(abs(c))
+        if k:
+            mono = "N^%d" % k if k > 1 else "N"
+            body = mono if abs(c) == 1 else "%s*%s" % (body, mono)
+        terms.append(("- " if c < 0 else "+ ") + body)
+    if not terms:
+        return "0"
+    text = " ".join(terms)
+    return text[2:] if text[0] == "+" else "-" + text[2:]
 
 
 def _window(text: str) -> int:
@@ -129,13 +139,13 @@ def _check_cutoff(cutoff: int, r: int):
 def _cmd_phi(args):
     lam = _rat_vector(args.lam, args.r)
     mu = _rat_vector(args.mu, args.r)
-    poly = shift_determinant(args.r, lam, mu, max_r=args.max_r)
+    coeffs = shift_determinant(args.r, lam, mu, max_r=args.max_r)
     payload = {
         "r": args.r,
         "lambda": [format_rat(x) for x in lam],
         "mu": [format_rat(x) for x in mu],
-        "poly": str(poly),
-        "coeffs": _poly_coeffs(poly),
+        "poly": _format_poly(coeffs),
+        "coeffs": [format_rat(c) for c in coeffs],
     }
     if args.format == "text":
         _emit(args, payload["poly"] + "\n")
@@ -296,11 +306,14 @@ def _cmd_weights(args):
 
 
 def _load_generators(path: str):
+    """The generators of a JSON list of {"a1,...,an": rational} objects, as
+    {exponent tuple: Fraction} dicts, and n.  Zero coefficients are dropped
+    and one exponent written twice is summed."""
     with open(path) as fh:
         data = json.load(fh)
     if not isinstance(data, list) or not data:
         raise ValueError("generator file must be a non-empty JSON list")
-    polys = []
+    gens = []
     n = None
     for entry in data:
         if not isinstance(entry, dict) or not entry:
@@ -312,16 +325,19 @@ def _load_generators(path: str):
                 n = len(expo)
             elif len(expo) != n:
                 raise ValueError("inconsistent exponent lengths in generator file")
-            terms[expo] = parse_rat(str(val))
-        polys.append((terms))
-    variables = variables_tuple(n)
-    return [MPoly(variables, t) for t in polys], n
+            if min(expo) < 0:
+                raise ValueError("bad exponent vector %r" % (expo,))
+            c = terms.pop(expo, 0) + parse_rat(str(val))
+            if c:
+                terms[expo] = c
+        gens.append(terms)
+    return gens, n
 
 
 def _cmd_specht(args):
     gens, n = _load_generators(args.generators)
     _check_cutoff(args.cutoff, n)
-    ts = closure_basis(gens, args.cutoff)
+    ts = closure_basis(gens, n, args.cutoff)
     fit = tspace_series(ts)
     payload = {
         "n": n,

@@ -1,4 +1,4 @@
-"""Exact rational arithmetic, multivariate polynomials and sparse linear algebra.
+"""Exact rational arithmetic, interpolation and sparse linear algebra.
 
 Everything here computes over Q with arbitrary-precision integers, with no
 floating point.  Rational scalars are stdlib ``fractions.Fraction``;
@@ -30,7 +30,6 @@ __all__ = [
     "rat",
     "parse_rat",
     "format_rat",
-    "MPoly",
     "SparseMat",
     "Echelon",
     "rank_of_vectors",
@@ -91,239 +90,6 @@ def interpolate(values, x0=0):
     while coeffs and coeffs[-1] == 0:
         coeffs.pop()
     return coeffs
-
-
-def deglex_key(expo):
-    """Sort key for the degree-lexicographic monomial order."""
-    return (sum(expo), expo)
-
-
-# ---------------------------------------------------------------------------
-# multivariate polynomials
-
-
-class MPoly:
-    """Multivariate polynomial over Q with a fixed variable tuple.
-
-    Terms are stored sparsely as ``{exponent tuple: Fraction}`` with zero
-    coefficients dropped.  Arithmetic requires both operands to share the
-    same variable tuple.
-    """
-
-    __slots__ = ("variables", "terms")
-
-    def __init__(self, variables, terms=None):
-        self.variables = tuple(variables)
-        clean = {}
-        if terms:
-            width = len(self.variables)
-            for expo, coeff in terms.items():
-                c = Fraction(coeff)
-                if c == 0:
-                    continue
-                expo = tuple(int(e) for e in expo)
-                if len(expo) != width or any(e < 0 for e in expo):
-                    raise ValueError("bad exponent vector %r" % (expo,))
-                clean[expo] = clean.get(expo, Fraction(0)) + c
-                if clean[expo] == 0:
-                    del clean[expo]
-        self.terms = clean
-
-    # -- constructors
-
-    @classmethod
-    def constant(cls, variables, value):
-        variables = tuple(variables)
-        zero = (0,) * len(variables)
-        return cls(variables, {zero: Fraction(value)})
-
-    @classmethod
-    def variable(cls, variables, name):
-        variables = tuple(variables)
-        i = variables.index(name)
-        expo = tuple(1 if j == i else 0 for j in range(len(variables)))
-        return cls(variables, {expo: Fraction(1)})
-
-    # -- predicates and views
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def total_degree(self) -> int:
-        """Total degree; -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        return max(sum(e) for e in self.terms)
-
-    def coefficient(self, expo) -> Fraction:
-        return self.terms.get(tuple(expo), Fraction(0))
-
-    def leading(self):
-        """(exponent, coefficient) of the deg-lex leading term."""
-        if not self.terms:
-            raise ValueError("zero polynomial has no leading term")
-        expo = max(self.terms, key=deglex_key)
-        return expo, self.terms[expo]
-
-    def __len__(self):
-        return len(self.terms)
-
-    # -- arithmetic
-
-    def _check(self, other):
-        if self.variables != other.variables:
-            raise ValueError(
-                "variable mismatch: %r vs %r" % (self.variables, other.variables)
-            )
-
-    def __add__(self, other):
-        if not isinstance(other, MPoly):
-            other = MPoly.constant(self.variables, other)
-        self._check(other)
-        terms = dict(self.terms)
-        for expo, c in other.terms.items():
-            s = terms.get(expo, Fraction(0)) + c
-            if s:
-                terms[expo] = s
-            elif expo in terms:
-                del terms[expo]
-        out = MPoly.__new__(MPoly)
-        out.variables = self.variables
-        out.terms = terms
-        return out
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        out = MPoly.__new__(MPoly)
-        out.variables = self.variables
-        out.terms = {e: -c for e, c in self.terms.items()}
-        return out
-
-    def __sub__(self, other):
-        if not isinstance(other, MPoly):
-            other = MPoly.constant(self.variables, other)
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return MPoly.constant(self.variables, other) - self
-
-    def __mul__(self, other):
-        if not isinstance(other, MPoly):
-            c = Fraction(other)
-            if c == 0:
-                return MPoly(self.variables)
-            out = MPoly.__new__(MPoly)
-            out.variables = self.variables
-            out.terms = {e: k * c for e, k in self.terms.items()}
-            return out
-        self._check(other)
-        terms = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                expo = tuple(a + b for a, b in zip(e1, e2))
-                s = terms.get(expo, Fraction(0)) + c1 * c2
-                if s:
-                    terms[expo] = s
-                elif expo in terms:
-                    del terms[expo]
-        out = MPoly.__new__(MPoly)
-        out.variables = self.variables
-        out.terms = terms
-        return out
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n):
-        if n < 0:
-            raise ValueError("negative power")
-        result = MPoly.constant(self.variables, 1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
-
-    def __eq__(self, other):
-        if isinstance(other, MPoly):
-            return self.variables == other.variables and self.terms == other.terms
-        if isinstance(other, (int, Fraction)):
-            return self.terms == MPoly.constant(self.variables, other).terms
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.variables, frozenset(self.terms.items())))
-
-    # -- substitution and calculus
-
-    def evaluate(self, values) -> Fraction:
-        """Evaluate at a {name: rational} assignment covering all variables."""
-        point = [Fraction(values[v]) for v in self.variables]
-        total = Fraction(0)
-        for expo, coeff in self.terms.items():
-            v = coeff
-            for x, e in zip(point, expo):
-                if e:
-                    v *= x**e
-            total += v
-        return total
-
-    def subs_polys(self, images: dict) -> "MPoly":
-        """Substitute polynomials for variables; all images must share a
-        variable tuple, which becomes the result's."""
-        imgs = [images[v] for v in self.variables]
-        target = imgs[0].variables
-        for g in imgs:
-            if g.variables != target:
-                raise ValueError("substitution images disagree on variables")
-        result = MPoly(target)
-        powers = [{0: MPoly.constant(target, 1)} for _ in imgs]
-        for expo, coeff in sorted(self.terms.items()):
-            term = MPoly.constant(target, coeff)
-            for i, e in enumerate(expo):
-                cache = powers[i]
-                if e not in cache:
-                    p = cache[max(cache)]
-                    for _ in range(max(cache), e):
-                        p = p * imgs[i]
-                        cache[max(cache) + 1] = p
-                term = term * cache[e]
-            result = result + term
-        return result
-
-    # -- rendering
-
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for expo in sorted(self.terms, key=deglex_key, reverse=True):
-            coeff = self.terms[expo]
-            factors = []
-            for name, e in zip(self.variables, expo):
-                if e == 1:
-                    factors.append(name)
-                elif e > 1:
-                    factors.append("%s^%d" % (name, e))
-            mono = "*".join(factors)
-            if not mono:
-                body = format_rat(abs(coeff))
-            elif abs(coeff) == 1:
-                body = mono
-            else:
-                body = "%s*%s" % (format_rat(abs(coeff)), mono)
-            sign = "-" if coeff < 0 else "+"
-            parts.append((sign, body))
-        first_sign, first_body = parts[0]
-        s = ("-" if first_sign == "-" else "") + first_body
-        for sign, body in parts[1:]:
-            s += " %s %s" % (sign, body)
-        return s
-
-    def __repr__(self):
-        return "MPoly(%r, %s)" % (self.variables, str(self))
 
 
 # ---------------------------------------------------------------------------
@@ -546,45 +312,6 @@ class SparseMat:
             self.entries.pop((i, j), None)
         else:
             self.entries[(i, j)] = value
-
-    def is_zero(self) -> bool:
-        return not self.entries
-
-    def transpose(self) -> "SparseMat":
-        t = SparseMat(self.cols, self.rows)
-        for (i, j), v in self.entries.items():
-            t.entries[(j, i)] = v
-        return t
-
-    def __mul__(self, other: "SparseMat") -> "SparseMat":
-        if self.cols != other.rows:
-            raise ValueError("shape mismatch in matrix product")
-        by_row = {}
-        for (i, j), v in self.entries.items():
-            by_row.setdefault(i, []).append((j, v))
-        by_col = {}
-        for (j, k), v in other.entries.items():
-            by_col.setdefault(j, {})[k] = v
-        out = SparseMat(self.rows, other.cols)
-        acc = {}
-        for i, items in by_row.items():
-            for j, v in items:
-                row2 = by_col.get(j)
-                if not row2:
-                    continue
-                for k, w in row2.items():
-                    acc[(i, k)] = acc.get((i, k), 0) + v * w
-        for key, v in acc.items():
-            out[key] = v
-        return out
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, SparseMat)
-            and self.rows == other.rows
-            and self.cols == other.cols
-            and self.entries == other.entries
-        )
 
     def row_vectors(self):
         out = [dict() for _ in range(self.rows)]

@@ -22,7 +22,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from ._enum import bounded_tails, monomials_of_degree, weighted_vectors
-from .exact import MPoly, SparseMat, format_rat, interpolate, rank_mod_p, rank_of_vectors
+from .exact import SparseMat, format_rat, interpolate, rank_mod_p, rank_of_vectors
 from .tensormod import ModuleDescriptor, _act_int, graded_dimension, word_vectors
 
 __all__ = [
@@ -164,9 +164,10 @@ def shift_determinant_value(r: int, lam, mu) -> Fraction:
     return mat.det() / (den**degree * _power_basis_det(r))
 
 
-def shift_determinant(r: int, lam, mu, max_r: int = MAX_SYMBOLIC_R) -> MPoly:
+def shift_determinant(r: int, lam, mu, max_r: int = MAX_SYMBOLIC_R) -> list:
     """The slice determinant along the diagonal ray: the univariate
-    polynomial N -> det at parameters (lam, mu + N*(1,...,1)).
+    polynomial N -> det at parameters (lam, mu + N*(1,...,1)), as its
+    ascending list of Fraction coefficients.
 
     Monic of degree sum(length(rho)) over the columns: the top N-order of a
     word column is N^length * p_rho z^a, and the power-basis normalization
@@ -180,14 +181,13 @@ def shift_determinant(r: int, lam, mu, max_r: int = MAX_SYMBOLIC_R) -> MPoly:
     lam = tuple(Fraction(x) for x in lam)
     mu = tuple(Fraction(x) for x in mu)
     if r == 0:
-        return MPoly.constant(("N",), 1)
+        return [Fraction(1)]
     degree = sum(sum(rho) for rho, _ in _column_index(r, r))
     values = []
     for t in range(degree + 1):
         shifted = tuple(m + t for m in mu)
         values.append(shift_determinant_value(r, lam, shifted))
-    coeffs = interpolate(values)
-    return MPoly(("N",), {(i,): c for i, c in enumerate(coeffs)})
+    return interpolate(values)
 
 
 # ---------------------------------------------------------------------------

@@ -18,78 +18,40 @@ variables at once.  Two facts drive the computation:
 D_k x^a = sum_i a_i x^(a + k e_i) is e_k acting on the tensor module T^n
 with lambda = mu = 0, so closure_basis runs the ladder on integer vectors
 keyed by exponent tuple with tensormod._act_int, the kernel behind the word
-families and the power basis too.  substitute and homogeneous_split provide
-the raw moves so tests can confirm closure membership for arbitrary sampled
-substitutions.
+families and the power basis too.  A polynomial is a sparse
+{exponent tuple: coefficient} dict from input to output.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from .exact import Echelon, MPoly, _to_int_vector
+from .exact import Echelon, _to_int_vector
 from .pbw_hilbert import RationalSeries, one_minus_t_powers
 from .tensormod import _act_int
 
 __all__ = [
-    "variables_tuple",
-    "substitute",
-    "homogeneous_split",
     "closure_basis",
     "TSpace",
     "tspace_series",
 ]
 
 
-def variables_tuple(n: int):
-    """("x1", ..., "xn")."""
-    return tuple("x%d" % (i + 1) for i in range(n))
-
-
-def _require_no_constant(p: MPoly):
-    zero = (0,) * len(p.variables)
-    if p.terms.get(zero):
-        raise ValueError("substitution polynomial must vanish at 0")
-
-
-def substitute(f: MPoly, p: MPoly) -> MPoly:
-    """Apply x_i -> p(x_i) to every variable of f.
-
-    p must be univariate with p(0) = 0, so the result again has no constant
-    term and substitutions compose.
-    """
-    if len(p.variables) != 1:
-        raise ValueError("substitution polynomial must be univariate")
-    _require_no_constant(p)
-    pvar = p.variables[0]
-    images = {
-        v: p.subs_polys({pvar: MPoly.variable(f.variables, v)})
-        for v in f.variables
-    }
-    return f.subs_polys(images)
-
-
-def homogeneous_split(f: MPoly) -> dict:
-    """Homogeneous components of f, {degree: component}: its terms grouped
-    by total degree.
-
-    A substitution-closed space containing f contains each component: the
-    dilation x -> c x is a substitution, f(c x) = sum_m c^m f_m, and the
-    Vandermonde matrix (c_j^m) at distinct scalars c_j is invertible, so
-    every f_m is a rational combination of finitely many dilations of f.
-    """
+def _homogeneous_split(f) -> dict:
+    """The terms of f grouped by total degree, {degree: component}, in
+    ascending degree."""
     parts = {}
-    for expo, coeff in f.terms.items():
+    for expo, coeff in f.items():
         parts.setdefault(sum(expo), {})[expo] = coeff
-    return {m: MPoly(f.variables, terms) for m, terms in sorted(parts.items())}
+    return dict(sorted(parts.items()))
 
 
 class TSpace:
-    """Graded basis of a substitution-closed space, valid up to a cutoff."""
+    """Graded basis of a substitution-closed space, valid up to a cutoff:
+    {weight: [integer {exponent tuple: int} vectors]}."""
 
     def __init__(self, n: int, graded_basis: dict, cutoff: int):
         self.n = n
-        self.variables = variables_tuple(n)
         self.graded_basis = graded_basis
         self.cutoff = cutoff
 
@@ -101,13 +63,10 @@ class TSpace:
     def dimensions(self):
         return [self.dimension(w) for w in range(self.cutoff + 1)]
 
-    def contains(self, f: MPoly) -> bool:
-        """Exact membership test; f is split into homogeneous components."""
-        if f.is_zero():
-            return True
-        if f.variables != self.variables:
-            raise ValueError("variable mismatch")
-        for d, comp in homogeneous_split(f).items():
+    def contains(self, f) -> bool:
+        """Exact membership test of a {exponent tuple: coefficient} dict; f
+        is split into homogeneous components."""
+        for d, comp in _homogeneous_split(f).items():
             if d > self.cutoff:
                 raise ValueError(
                     "component of degree %d outside certified range" % d
@@ -117,14 +76,15 @@ class TSpace:
                 return False
             ech = Echelon()
             for g in basis:
-                ech.insert(g.terms)
-            if ech.reduce(comp.terms):
+                ech.insert(g)
+            if ech.reduce(comp):
                 return False
         return True
 
 
-def closure_basis(generators, cutoff: int) -> TSpace:
-    """Substitution closure of the given polynomials, graded up to cutoff.
+def closure_basis(generators, n: int, cutoff: int) -> TSpace:
+    """Substitution closure of the given polynomials in n variables, each a
+    {exponent tuple: coefficient} dict, graded up to cutoff.
 
     Components of the generators seed the grading; the single ascending
     sweep applies every ladder operator D_k to every lower-weight basis
@@ -133,20 +93,15 @@ def closure_basis(generators, cutoff: int) -> TSpace:
     space.  Components beyond the cutoff are dropped (the returned space is
     only certified up to the cutoff).
     """
-    gens = list(generators)
-    if not gens:
-        return TSpace(0, {}, cutoff)
-    variables = gens[0].variables
-    for g in gens:
-        if g.variables != variables:
-            raise ValueError("generators disagree on variables")
-    n = len(variables)
+    generators = list(generators)
+    if any(len(expo) != n for g in generators for expo in g):
+        raise ValueError("generators must have exponent vectors of length %d" % n)
     zero = (0,) * n
     seeds = {}
-    for g in gens:
-        for d, comp in homogeneous_split(g).items():
+    for g in generators:
+        for d, comp in _homogeneous_split(g).items():
             if d <= cutoff:
-                seeds.setdefault(d, []).append(_to_int_vector(comp.terms)[0])
+                seeds.setdefault(d, []).append(_to_int_vector(comp)[0])
     basis = {}
     for w in range(cutoff + 1):
         ech = Echelon()
@@ -156,8 +111,7 @@ def closure_basis(generators, cutoff: int) -> TSpace:
         admitted = [v for v in candidates if v and ech.insert(v) is None]
         if admitted:
             basis[w] = admitted
-    graded = {w: [MPoly(variables, vec) for vec in vecs] for w, vecs in basis.items()}
-    return TSpace(n, graded, cutoff)
+    return TSpace(n, basis, cutoff)
 
 
 def tspace_series(ts: TSpace) -> dict:

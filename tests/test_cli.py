@@ -125,6 +125,41 @@ def test_specht_subcommand(tmp_path):
     assert payload["series"] == {"num": [0, 0, 1], "den": [1, -1, -1, 1]}
 
 
+def test_specht_generator_file_checks(tmp_path):
+    def run(entries, cutoff="4"):
+        path = tmp_path / "gens.json"
+        path.write_text(json.dumps(entries))
+        return run_cli(["specht", "--generators", str(path), "--cutoff", cutoff])
+
+    code, out, err = run([{"-1,0": 1}])
+    assert code == 64 and out == "" and "(-1, 0)" in err, err
+    assert run([{"1,0": 1, "1": 1}])[0] == 64  # mixed exponent lengths
+    assert run([{"1,0": 1}, {"1,0,0": 1}])[0] == 64
+    assert run([{"1,0": 1.5}])[0] == 64  # not a rational literal
+    # one exponent written two ways is one term
+    summed = run([{"1,0": 1, "1, 0": 1}, {"0,2": "1/2"}], cutoff="9")
+    assert summed[0] == 0 and json.loads(summed[1])["dims"] == [0, 1, 2, 2, 2, 2, 2, 2, 2, 2]
+    assert summed == run([{"1,0": 2}, {"0,2": "1/2"}], cutoff="9")
+    # a zero coefficient is dropped; a generator of zeros spans nothing
+    code, out, _ = run([{"1,0": 0}])
+    assert code == 0 and json.loads(out)["dims"] == [0] * 5
+
+
+def test_specht_generator_terms_add_up(tmp_path):
+    # one exponent written two ways is one term; terms that cancel are dropped
+    gens = tmp_path / "gens.json"
+    gens.write_text(json.dumps([{"1,0": 1, "1, 0": -1}, {"1,1": 1}]))
+    alone = tmp_path / "alone.json"
+    alone.write_text(json.dumps([{"1,1": 1}]))
+    argv = ["specht", "--cutoff", "6", "--generators"]
+    assert run_cli(argv + [str(gens)]) == run_cli(argv + [str(alone)])
+    assert cli._load_generators(str(gens)) == ([{}, {(1, 1): 1}], 2)
+    # a negative exponent is refused even with a zero coefficient
+    gens.write_text(json.dumps([{"-1,0": 0}, {"1,1": 1}]))
+    code, _, err = run_cli(argv + [str(gens)])
+    assert code == 64 and "(-1, 0)" in err, err
+
+
 def test_byte_determinism(tmp_path):
     argv = ["span", "--r", "2", "--lam", "0,0", "--mu", "0,0", "--cutoff", "6"]
     first = run_cli(argv)
@@ -247,8 +282,9 @@ def test_hilbert_closure_refused():
 
 
 def test_benchmark_golden_bytes(tmp_path, monkeypatch):
-    # the benchmark's recorded hilbert and specht outputs, checked in-process;
-    # the specht generator files are rebuilt from the benchmark's seed-0 jobs
+    # the benchmark's recorded phi, hilbert and specht outputs, checked
+    # in-process; the specht generator files are rebuilt from the benchmark's
+    # seed-0 jobs
     bench = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
     spec = importlib.util.spec_from_file_location("perfbench_jobs", os.path.join(bench, "jobs.py"))
     jobs = importlib.util.module_from_spec(spec)
@@ -258,8 +294,10 @@ def test_benchmark_golden_bytes(tmp_path, monkeypatch):
             (tmp_path / name).write_text(text)
     monkeypatch.chdir(tmp_path)
     with open(os.path.join(bench, "golden.json")) as fh:
-        entries = [e for e in json.load(fh).values() if e["argv"][0] in ("hilbert", "specht")]
-    assert {e["argv"][0] for e in entries} == {"hilbert", "specht"}
+        golden = json.load(fh).values()
+    entries = [e for e in golden if e["argv"][0] in ("phi", "hilbert", "specht")]
+    assert sum(e["argv"][0] == "phi" for e in entries) == 7
+    assert {e["argv"][0] for e in entries} == {"phi", "hilbert", "specht"}
     for entry in entries:
         code, out, _ = run_cli(entry["argv"])
         assert code == entry["exit"], entry["argv"]
