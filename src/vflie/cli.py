@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import combinations
 from math import comb
 
 from .exact import format_rat, parse_rat
@@ -133,6 +134,25 @@ def _check_cutoff(cutoff: int, r: int):
         )
 
 
+def _check_weight_dim(lam):
+    """Refuse, before the walk over its interlacing patterns, a dominant weight
+    whose dim V_lam = prod_(i<j) (lam_i - lam_j + j - i)/(j - i) (Weyl)
+    exceeds the default dimension limit.  A weight that is not dominant has a
+    factor <= 0 and is left to weight_support, which refuses it as bad input."""
+    num = den = 1
+    for i, j in combinations(range(len(lam)), 2):
+        factor = lam[i] - lam[j] + j - i
+        if factor <= 0:
+            return
+        num, den = num * factor, den * (j - i)
+    dim = num // den
+    if dim > hm.DEFAULT_DIM_LIMIT:
+        raise ResourceLimitError(
+            "weight %s: dim V_lambda = %d exceeds the limit %d"
+            % (",".join(map(str, lam)), dim, hm.DEFAULT_DIM_LIMIT)
+        )
+
+
 # -- subcommands
 
 
@@ -175,6 +195,13 @@ def _cmd_span(args):
     lam = _rat_vector(args.lam, args.r)
     mu = _rat_vector(args.mu, args.r)
     _check_cutoff(max(args.cutoff, args.gen_cutoff), args.r)
+    if args.d < 1:
+        raise ValueError("dilation degree must be >= 1")
+    if args.d**args.r > hm.DEFAULT_DIM_LIMIT:
+        raise ResourceLimitError(
+            "--d %d: %d^%d residue vectors exceed the limit %d"
+            % (args.d, args.d, args.r, hm.DEFAULT_DIM_LIMIT)
+        )
     if args.d == 1:
         S = spanning_generators(args.r, lam, mu, cutoff=args.gen_cutoff, bound=args.bound)
     else:
@@ -274,6 +301,7 @@ def _cmd_homology(args):
 def _cmd_weights(args):
     lam = _int_vector(args.lam)
     n = len(lam)
+    _check_weight_dim(lam)
     support = weight_support(lam, n)
     modules = decompose_coinduced(lam, n)
     payload = {

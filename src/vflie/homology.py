@@ -16,6 +16,10 @@ splits further into blocks, each its own subcomplex, and
 
   dim H_p(w) = sum over blocks t of dim C_p(t) - rank d_p(t) - rank d_(p+1)(t).
 
+A window numbers its basis fields in sort order, so a chain is the integer
+key (increasing tuple of field numbers, module exponent).  Chains are
+enumerated, split and differentiated as keys; ``chain_basis`` decodes them.
+
 Block ranks are taken mod p first (``exact.rank_mod_p``, a lower bound).
 Because d o d = 0, rank d_p(t) <= dim C_(p-1)(t) - rank d_(p-1)(t) and
 rank d_p(t) <= dim C_p(t) - rank d_(p+1)(t); a mod-p rank that meets the
@@ -33,7 +37,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -43,7 +47,6 @@ from .liealg import (
     FLAVOR_COORDINATE_SUM,
     AlgebraDescriptor,
     VFBasis,
-    basis_of_weight,
     basis_up_to_weight,
     bracket_basis,
 )
@@ -55,7 +58,6 @@ __all__ = [
     "TensorCoefficients",
     "ChainBasisElement",
     "chain_basis",
-    "torus_weight",
     "boundary_matrix",
     "homology_dim",
     "homology_table",
@@ -149,81 +151,62 @@ class ChainBasisElement:
     expo: tuple
 
 
-def _wedges_of_weight(alg: AlgebraDescriptor, p: int, w: int):
-    """Strictly increasing p-tuples of basis fields with weight sum w."""
-    if p == 0:
-        return [()] if w == 0 else []
-    minw = alg.min_weight
-    w_top = w - (p - 1) * minw
-    if w_top < minw:
-        return []
-    pool = []
-    for wt in range(minw, w_top + 1):
-        pool.extend(basis_of_weight(alg, wt))
-    out = []
-
-    def rec(start, left, budget, prefix):
-        if left == 0:
-            if budget == 0:
-                out.append(tuple(prefix))
-            return
-        for idx in range(start, len(pool)):
-            b = pool[idx]
-            if b.weight + (left - 1) * minw > budget:
-                # pool is sorted by weight, so no later element fits either
-                break
-            prefix.append(b)
-            rec(idx + 1, left - 1, budget - b.weight, prefix)
-            prefix.pop()
-
-    rec(0, p, w, [])
-    return out
-
-
-def chain_basis(alg: AlgebraDescriptor, coeffs, p: int, w: int):
-    """Ordered basis of the weight-w slice of Lambda^p(g) (x) M."""
-    coeffs.validate(alg)
-    if p < 0:
-        return []
-    minw = alg.min_weight
-    out = []
-    for wa in range(p * minw, w + 1):
-        module_part = coeffs.basis_at_weight(w - wa)
-        if not module_part:
-            continue
-        for wedge in _wedges_of_weight(alg, p, wa):
-            for expo in module_part:
-                out.append(ChainBasisElement(wedge, expo))
-    return out
-
-
-def torus_weight(alg: AlgebraDescriptor, coeffs, chain: ChainBasisElement):
-    """Torus weight in Z^n of a chain, preserved by the boundary."""
-    t = list(coeffs.torus_weight(alg.n, chain.expo))
-    for field in chain.wedge:
-        for i, a in enumerate(field.exponent):
-            t[i] += a - (i == field.direction)
-    return tuple(t)
-
-
 class _Complex:
-    """The chains of one algebra and coefficient system in integer form.
-
-    Basis fields up to weight w_top are numbered in sort order, so a chain
-    becomes the key (increasing tuple of field numbers, module exponent),
-    and a boundary column becomes {row index: int}: scale times the exact
-    column (scale = the coefficients' common denominator).
-    """
+    """One window's chains as keys over the basis fields up to weight w_top;
+    a boundary column is {row index: int}, scale times the exact column
+    (scale = the coefficients' common denominator)."""
 
     def __init__(self, alg: AlgebraDescriptor, coeffs, w_top: int):
+        coeffs.validate(alg)
         self.alg, self.coeffs, self.scale = alg, coeffs, coeffs.scale
         self.fields = basis_up_to_weight(alg, w_top)
         self.number = {f: i for i, f in enumerate(self.fields)}
+        self.weights = [f.weight for f in self.fields]
         self._brackets = {}
         self._actions = {}
 
-    def key(self, chain: ChainBasisElement):
-        return tuple(self.number[f] for f in chain.wedge), chain.expo
+    def chains(self, p: int, w: int):
+        """Keys of C_p(w): module-part weight ascending, then wedges in lex
+        order of field number, then module monomials."""
+        out = []
+        for wa in range(p * self.alg.min_weight, w + 1):
+            module_part = self.coeffs.basis_at_weight(w - wa)
+            if module_part:
+                out.extend((wedge, expo) for wedge in self._wedges(p, wa) for expo in module_part)
+        return out
+
+    def _wedges(self, p: int, w: int):
+        """Increasing p-tuples of field numbers with weight sum w.  Fields are
+        sorted by weight, so the last one ranges over the fields of exactly
+        the weight left, and a prefix stops once even `left` copies of the
+        next field's weight overshoot."""
+        if p <= 0:
+            return [()] if p == 0 and w == 0 else []
+        weights = self.weights
+        out = []
+
+        def rec(start, left, budget, prefix):
+            if left == 1:
+                lo = max(start, bisect_left(weights, budget))
+                out.extend(prefix + (i,) for i in range(lo, bisect_right(weights, budget)))
+                return
+            for i in range(start, len(weights)):
+                if left * weights[i] > budget:
+                    break
+                rec(i + 1, left - 1, budget - weights[i], prefix + (i,))
+
+        rec(0, p, w, ())
+        return out
+
+    def torus(self, key):
+        """Torus weight in Z^n of a chain, preserved by the boundary."""
+        wedge, expo = key
+        t = list(self.coeffs.torus_weight(self.alg.n, expo))
+        for i in wedge:
+            field = self.fields[i]
+            for c, a in enumerate(field.exponent):
+                t[c] += a - (c == field.direction)
+        return tuple(t)
 
     def _bracket(self, i, j):
         out = self._brackets.get((i, j))
@@ -273,16 +256,23 @@ def _field_top(alg: AlgebraDescriptor, p: int, w: int) -> int:
     return w + max(p - 1, 0) * max(-alg.min_weight, 0)
 
 
+def chain_basis(alg: AlgebraDescriptor, coeffs, p: int, w: int):
+    """Ordered basis of the weight-w slice of Lambda^p(g) (x) M."""
+    cx = _Complex(alg, coeffs, _field_top(alg, p, w))
+    return [
+        ChainBasisElement(tuple(cx.fields[i] for i in wedge), expo)
+        for wedge, expo in cx.chains(p, w)
+    ]
+
+
 def boundary_matrix(alg: AlgebraDescriptor, coeffs, p: int, w: int) -> SparseMat:
     """Matrix of d_p on the weight-w slice: rows C_(p-1)(w), columns C_p(w)."""
-    coeffs.validate(alg)
-    cols = chain_basis(alg, coeffs, p, w)
-    rows = chain_basis(alg, coeffs, p - 1, w)
     cx = _Complex(alg, coeffs, _field_top(alg, p, w))
-    row_of = {cx.key(c): i for i, c in enumerate(rows)}
-    mat = SparseMat(len(rows), len(cols))
-    for j, chain in enumerate(cols):
-        for i, c in cx.column(cx.key(chain), row_of).items():
+    cols = cx.chains(p, w)
+    row_of = {key: i for i, key in enumerate(cx.chains(p - 1, w))}
+    mat = SparseMat(len(row_of), len(cols))
+    for j, key in enumerate(cols):
+        for i, c in cx.column(key, row_of).items():
             mat.entries[i, j] = Fraction(c, cx.scale)
     return mat
 
@@ -312,7 +302,6 @@ def homology_table(
     raises ResourceLimitError naming the slice before any rank at its weight
     is taken.
     """
-    coeffs.validate(alg)
     cx = _Complex(alg, coeffs, _field_top(alg, p_max + 1, w_max))
     table = {}
     for w in range(w_max + 1):
@@ -324,15 +313,15 @@ def _weight_table(cx: _Complex, p_max: int, w: int, dim_limit: int):
     """{(p, w): dim H_p(w)} for p <= p_max at one weight."""
     blocks = []  # per p: {torus weight: [chain keys]}
     for p in range(p_max + 2):
-        basis = chain_basis(cx.alg, cx.coeffs, p, w)
-        if len(basis) > dim_limit:
+        chains = cx.chains(p, w)
+        if len(chains) > dim_limit:
             raise ResourceLimitError(
                 "chain slice (p=%d, w=%d) has dimension %d > limit %d"
-                % (p, w, len(basis), dim_limit)
+                % (p, w, len(chains), dim_limit)
             )
         split = {}
-        for chain in basis:
-            split.setdefault(torus_weight(cx.alg, cx.coeffs, chain), []).append(cx.key(chain))
+        for key in chains:
+            split.setdefault(cx.torus(key), []).append(key)
         blocks.append(split)
 
     def dim(p, t):

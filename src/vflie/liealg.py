@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from ._enum import monomials_of_degree
 
@@ -157,7 +156,6 @@ class LieElement:
     __repr__ = __str__
 
 
-@lru_cache(maxsize=65536)
 def bracket_basis(u: VFBasis, v: VFBasis):
     """Structure constants: [x^a d_i, x^b d_j] as ((basis, coeff), ...).
 
@@ -291,10 +289,7 @@ def basis_of_weight(alg: AlgebraDescriptor, w: int):
             out.append(coordinate_e(w, i, alg.n))
     else:
         for expo in monomials_of_degree(alg.n, w + 1):
-            for i in range(alg.n):
-                b = VFBasis(tuple(expo), i)
-                if alg.contains(b):
-                    out.append(b)
+            out.extend(VFBasis(tuple(expo), i) for i in range(alg.n))
     out.sort(key=VFBasis.sort_key)
     return out
 

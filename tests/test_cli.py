@@ -177,10 +177,14 @@ def test_usage_errors_exit_64(tmp_path):
     assert run_cli(["homology", "--algebra", "Q:1"])[0] == 64
     assert run_cli(["weights", "--lam", "1,2"])[0] == 64
     assert run_cli(["weights", "--lam="])[0] == 64  # an empty weight
+    # not dominant, though its Weyl product is positive and large
+    assert run_cli(["weights", "--lam", "0,500,0,1000"])[0] == 64
     assert run_cli(["specht", "--generators", "/does/not/exist.json"])[0] == 64
     # negative windows are bad input, not an empty or vacuous answer
     assert run_cli(["span", "--r", "2", "--lam", "0,0", "--mu", "0,0", "--cutoff", "-1"])[0] == 64
     assert run_cli(["span", "--r", "1", "--lam", "0", "--mu", "0", "--gen-cutoff", "-1"])[0] == 64
+    for d in ("0", "-200"):  # bad input even where d^r exceeds the limit
+        assert run_cli(["span", "--r", "2", "--lam=0,0", "--mu=0,0", "--d", d])[0] == 64
     assert run_cli(["shift", "--r", "1", "--lam", "0", "--mu", "0", "--cutoff", "-1"])[0] == 64
     assert run_cli(["hilbert", "--r", "2", "--lam", "0,0", "--mu", "0,0", "--cutoff", "-1"])[0] == 64
     assert run_cli(["homology", "--algebra", "L1:1", "--p-max", "-1"])[0] == 64
@@ -239,6 +243,23 @@ def test_limit_exit_2():
     assert code == 2
 
 
+def _refused_at_once(argv, *texts):
+    """argv exits 2 in well under a second, printing nothing, with a
+    ``limit:`` line that contains each of texts."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    # in a child first: without the guard these runs do not end
+    proc = subprocess.run(
+        [sys.executable, "-m", "vflie.cli"] + argv, capture_output=True, env=env, timeout=20
+    )
+    assert proc.returncode == 2, argv
+    start = time.perf_counter()
+    code, out, err = run_cli(argv)
+    assert time.perf_counter() - start < 1.0, argv
+    assert code == 2 and out == "", argv
+    assert err.startswith("limit: ") and all(t in err for t in texts), (argv, err)
+
+
 def test_huge_cutoff_refused_at_once(tmp_path):
     gens = tmp_path / "gens.json"
     gens.write_text(json.dumps([{"1,1": "1"}]))
@@ -249,19 +270,16 @@ def test_huge_cutoff_refused_at_once(tmp_path):
         ["hilbert", "--r", "2", "--lam", "0,0", "--mu", "0,0", "--cutoff", "1000"],
         ["specht", "--generators", str(gens), "--cutoff", "100000000"],
     ]
-    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     for argv in cases:
-        # in a child first: without the guard these runs do not end
-        proc = subprocess.run(
-            [sys.executable, "-m", "vflie.cli"] + argv, capture_output=True, env=env, timeout=20
-        )
-        assert proc.returncode == 2, argv
-        start = time.perf_counter()
-        code, out, err = run_cli(argv)
-        assert time.perf_counter() - start < 1.0, argv
-        assert code == 2 and out == "", argv
-        assert "cutoff" in err and "20000" in err, argv
+        _refused_at_once(argv, "cutoff", "20000")
+
+
+def test_huge_weight_and_dilation_refused_at_once():
+    # dim V_lambda by the Weyl formula: that many interlacing patterns
+    _refused_at_once(["weights", "--lam", "1000,0,0,0,0,0,0"], "1418299634202451", "20000")
+    # one shift search per residue vector, 100^3 of them
+    argv = ["span", "--r", "3", "--lam=0,0,0", "--mu=0,0,0", "--d", "100", "--cutoff", "3"]
+    _refused_at_once(argv, "100^3", "20000")
 
 
 def test_hilbert_closure_refused():

@@ -1,6 +1,7 @@
 """Chevalley-Eilenberg homology: boundaries, tables, coefficient systems."""
 
 import functools
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -17,9 +18,8 @@ from vflie.homology import (
     homology_table,
     table_to_csv,
     table_to_json,
-    torus_weight,
 )
-from vflie.liealg import AlgebraDescriptor
+from vflie.liealg import AlgebraDescriptor, basis_up_to_weight
 from vflie.spanning import ResourceLimitError
 from vflie.tensormod import ModuleDescriptor
 
@@ -207,17 +207,47 @@ def test_certified_table_matches_exact_ranks(monkeypatch, prime):
 
 
 def test_boundary_preserves_torus_weight():
+    # every boundary entry joins two chain keys of one torus weight: the split
+    # the table ranks block by block
     for alg, coeffs, p_max, w_max in WINDOWS:
+        cx = homology._Complex(alg, coeffs, homology._field_top(alg, p_max + 1, w_max))
+        entries = 0
         for w in range(w_max + 1):
             for p in range(1, p_max + 2):
-                rows = chain_basis(alg, coeffs, p - 1, w)
-                cols = chain_basis(alg, coeffs, p, w)
-                mat = boundary_matrix(alg, coeffs, p, w)
-                for (i, j), v in mat.entries.items():
-                    assert v != 0
-                    assert torus_weight(alg, coeffs, rows[i]) == torus_weight(
-                        alg, coeffs, cols[j]
-                    ), (alg.label(), p, w)
+                rows = cx.chains(p - 1, w)
+                row_of = {key: i for i, key in enumerate(rows)}
+                for key in cx.chains(p, w):
+                    for i in cx.column(key, row_of):
+                        assert cx.torus(rows[i]) == cx.torus(key), (alg.label(), p, w)
+                        entries += 1
+        assert entries > 0, alg.label()
+
+
+def _brute_chain_basis(alg, coeffs, p, w):
+    """C_p(w) from every p-subset of the fields up to the top weight."""
+    fields = basis_up_to_weight(alg, homology._field_top(alg, p, w))
+    wedges = list(itertools.combinations(fields, p))
+    return [
+        ChainBasisElement(wedge, expo)
+        for wa in range(p * alg.min_weight, w + 1)
+        for wedge in wedges
+        if sum(f.weight for f in wedge) == wa
+        for expo in coeffs.basis_at_weight(w - wa)
+    ]
+
+
+def test_chain_basis_matches_brute_force():
+    # order included: the table and the boundary matrices index chains by it
+    l1_r2 = TensorCoefficients(
+        ModuleDescriptor(2, (Fraction(1, 2), Fraction(0)), (Fraction(0), Fraction(-1, 3)))
+    )
+    w2 = AlgebraDescriptor(2, d=0, flavor="W")
+    cases = ((W1, TRIV), (w2, TRIV), (L1_2, TRIV), (L2, TRIV), (LSUM2, LSUM2_TENSOR), (L1, l1_r2))
+    for alg, coeffs in cases:
+        for p in range(4):
+            for w in range(5):
+                expected = _brute_chain_basis(alg, coeffs, p, w)
+                assert chain_basis(alg, coeffs, p, w) == expected, (alg.label(), p, w)
 
 
 def test_boundary_squares_to_zero_two_variables():
