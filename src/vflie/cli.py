@@ -134,6 +134,18 @@ def _check_cutoff(cutoff: int, r: int):
         )
 
 
+def _check_slice_dim(r: int):
+    """Refuse, before any enumeration and whatever --max-r says, a rank whose
+    degree-r slice has more monomials, C(2r - 1, r), than the default
+    dimension limit."""
+    dim = comb(2 * r - 1, r) if r else 1
+    if dim > hm.DEFAULT_DIM_LIMIT:
+        raise ResourceLimitError(
+            "r = %d: C(%d, %d) = %d slice monomials exceed the limit %d"
+            % (r, 2 * r - 1, r, dim, hm.DEFAULT_DIM_LIMIT)
+        )
+
+
 def _check_weight_dim(lam):
     """Refuse, before the walk over its interlacing patterns, a dominant weight
     whose dim V_lam = prod_(i<j) (lam_i - lam_j + j - i)/(j - i) (Weyl)
@@ -157,6 +169,7 @@ def _check_weight_dim(lam):
 
 
 def _cmd_phi(args):
+    _check_slice_dim(args.r)
     lam = _rat_vector(args.lam, args.r)
     mu = _rat_vector(args.mu, args.r)
     coeffs = shift_determinant(args.r, lam, mu, max_r=args.max_r)

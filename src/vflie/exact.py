@@ -70,26 +70,28 @@ def format_rat(q) -> str:
 
 def interpolate(values, x0=0):
     """Coefficients, ascending, of the polynomial through (x0 + i, values[i]),
-    by Newton forward differences; trailing zeros are dropped."""
-    n = len(values)
-    table = [list(values)]
-    for k in range(1, n):
-        prev = table[-1]
-        table.append([(prev[i + 1] - prev[i]) / k for i in range(len(prev) - 1)])
-    coeffs = [Fraction(0)] * n
-    basis = [Fraction(1)]  # falling-factorial product, dense coefficients
-    for k in range(n):
-        dd = table[k][0]
+    trailing zeros dropped: times the values' common denominator the forward
+    differences d_k are integers, and f(x) = sum_k d_k/k! (x - x0)^(k falling)."""
+    values = [Fraction(v) for v in values]
+    scale = math.lcm(*(v.denominator for v in values))
+    diffs = [v.numerator * (scale // v.denominator) for v in values]
+    top = weight = math.factorial(max(len(values) - 1, 0))  # weight = (n - 1)!/k!
+    coeffs = [0] * len(values)
+    basis = [1]  # falling-factorial product, dense coefficients
+    for k in range(len(values)):
+        lead = diffs[0] * weight
         for i, b in enumerate(basis):
-            coeffs[i] += dd * b
-        nxt = [Fraction(0)] * (len(basis) + 1)
+            coeffs[i] += lead * b
+        diffs = [b - a for a, b in zip(diffs, diffs[1:])]
+        weight //= k + 1
+        nxt = [0] * (len(basis) + 1)
         for i, b in enumerate(basis):  # multiply by (x - x0 - k)
             nxt[i + 1] += b
             nxt[i] -= b * (x0 + k)
         basis = nxt
     while coeffs and coeffs[-1] == 0:
         coeffs.pop()
-    return coeffs
+    return [Fraction(c, scale * top) for c in coeffs]
 
 
 # ---------------------------------------------------------------------------
@@ -202,25 +204,26 @@ def _cross(v, row, ca, cb):
 
 
 def _strip_gcd_pair(v, combo):
-    """Divide v (and its tracked combination) by their joint content."""
+    """Divide v (and its tracked combination) by their joint content g; return g."""
     if not v:
-        return
+        return 1
     g = 0
     for x in v.values():
         g = math.gcd(g, x)
         if g == 1:
-            return
+            return 1
     if combo is not None:
         for x in combo.values():
             g = math.gcd(g, x)
             if g == 1:
-                return
+                return 1
     if g > 1:
         for k in v:
             v[k] //= g
         if combo is not None:
             for k in combo:
                 combo[k] //= g
+    return g
 
 
 def rank_of_vectors(vectors) -> int:
@@ -280,10 +283,10 @@ def rank_mod_p(vectors, p=PRIME, limit=None) -> int:
 
 
 class SparseMat:
-    """Sparse matrix of Fractions with entries indexed by (row, col).
+    """Sparse matrix of rationals (Fraction or int) indexed by (row, col).
 
     Zero entries are not stored.  ``rank`` and ``kernel_basis`` run the
-    fraction-free ``Echelon``; ``det`` runs dense Bareiss elimination.
+    fraction-free ``Echelon``; ``det`` is the echelon-step determinant.
     """
 
     def __init__(self, rows: int, cols: int, entries=None):
@@ -325,13 +328,6 @@ class SparseMat:
             out[j][i] = v
         return out
 
-    def to_dense(self):
-        zero = Fraction(0)
-        return [
-            [self.entries.get((i, j), zero) for j in range(self.cols)]
-            for i in range(self.rows)
-        ]
-
     def rank(self) -> int:
         vecs = self.row_vectors() if self.rows <= self.cols else self.col_vectors()
         return rank_of_vectors(vecs)
@@ -356,12 +352,38 @@ class SparseMat:
         return basis
 
     def det(self):
-        """Exact determinant by fraction-free Bareiss elimination."""
+        """Exact determinant by the echelon's fraction-free step: the
+        integer-scaled columns are reduced from the largest row key down by
+        v -> ca*v - cb*row and stored stripped of their content g.  Each
+        stored column is prod(g)/prod(ca) times its own plus earlier ones,
+        and sorted by their distinct leading rows they are triangular, so
+        det = sign * prod(leads) * prod(g) / prod(ca) exactly, with sign that
+        sort's sign.  A column that reduces to zero gives 0."""
         if self.rows != self.cols:
             raise ValueError("determinant of a non-square matrix")
-        if self.rows == 0:
-            return Fraction(1)
-        return _det_fraction(self.to_dense())
+        pivots = {}
+        lead_of = []  # the leading row of each stored column, by column
+        num = den = scale = 1
+        for col in self.col_vectors():
+            v, s = _to_int_vector(col)
+            scale *= s
+            while v:
+                lead = max(v)
+                row = pivots.get(lead)
+                if row is None:
+                    break
+                a, b = v[lead], row[lead]
+                g = math.gcd(a, b)
+                ca = b // g
+                v = _cross(v, row, ca, a // g)
+                den *= ca
+            if not v:
+                return Fraction(0)
+            num *= _strip_gcd_pair(v, None)
+            num *= v[lead]
+            pivots[lead] = v
+            lead_of.append(lead)
+        return Fraction(_permutation_sign(lead_of) * num // den, scale)
 
     def __repr__(self):
         return "SparseMat(%d x %d, %d nonzero)" % (
@@ -369,6 +391,17 @@ class SparseMat:
             self.cols,
             len(self.entries),
         )
+
+
+def _permutation_sign(perm):
+    """Sign (-1)**(n - cycles) of the permutation i -> perm[i] of 0..n-1."""
+    parity, seen = len(perm), set()
+    for i in range(len(perm)):
+        parity -= i not in seen
+        while i not in seen:
+            seen.add(i)
+            i = perm[i]
+    return -1 if parity % 2 else 1
 
 
 def _normalize_kernel_vector(vec):
@@ -387,37 +420,3 @@ def _normalize_kernel_vector(vec):
                 ints = [-x for x in ints]
             break
     return tuple(Fraction(v) for v in ints)
-
-
-def _det_fraction(dense):
-    """Bareiss fraction-free determinant of a dense Fraction matrix."""
-    n = len(dense)
-    scale = Fraction(1)
-    m = []
-    for row in dense:
-        denom = 1
-        for c in row:
-            denom = denom * c.denominator // math.gcd(denom, c.denominator)
-        scale *= denom
-        m.append([c.numerator * (denom // c.denominator) for c in row])
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k]:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return Fraction(0)
-        pivot = m[k][k]
-        for i in range(k + 1, n):
-            mik = m[i][k]
-            row_i = m[i]
-            row_k = m[k]
-            for j in range(k + 1, n):
-                row_i[j] = (row_i[j] * pivot - mik * row_k[j]) // prev
-            row_i[k] = 0
-        prev = pivot
-    return Fraction(sign * m[n - 1][n - 1]) / scale

@@ -80,16 +80,20 @@ class GeneratorSet:
         return [list(e) for e in self.exponents]
 
 
-def _column_index(r: int, degree: int):
-    """All pairs (rho, a) with a_i < i and weight(rho) + |a| == degree,
-    sorted for determinism."""
-    pairs = []
-    for j in range(degree + 1):
-        for a in bounded_tails(r, j):
-            for rho in weighted_vectors(r, degree - j):
-                pairs.append((rho, a))
-    pairs.sort()
-    return pairs
+def _slice_index(r: int):
+    """The degree-r slice's row index {monomial: row}, monomials lex
+    increasing, and its sorted columns: the pairs (rho, a) with a_i < i and
+    weight(rho) + |a| == r.  Rows and columns have equal count (the
+    free-module count identity), asserted here."""
+    rows = monomials_of_degree(r, r)
+    cols = sorted(
+        (rho, a)
+        for j in range(r + 1)
+        for a in bounded_tails(r, j)
+        for rho in weighted_vectors(r, r - j)
+    )
+    assert len(cols) == len(rows), "count identity violated"
+    return {expo: i for i, expo in enumerate(rows)}, cols
 
 
 def newton_matrix(r: int, lam, mu) -> SparseMat:
@@ -97,30 +101,25 @@ def newton_matrix(r: int, lam, mu) -> SparseMat:
 
     Rows are indexed by the monomials of degree r (lex increasing), columns
     by the pairs (rho, a); column (rho, a) holds act_word(rho, z^a) in
-    T^r_(lam, mu) expanded over the monomial basis.  Rows and columns have
-    equal count in every degree (the free-module count identity), asserted
-    here before returning.
+    T^r_(lam, mu) expanded over the monomial basis.
     """
-    mat, den, cols = _newton_data(r, lam, mu)
+    row_of, cols = _slice_index(r)
+    desc = ModuleDescriptor(r, tuple(lam), tuple(mu))
+    mat, den = _newton_data(desc, row_of, cols), desc.den
     for (i, j), c in mat.entries.items():
-        mat.entries[i, j] = c / den ** sum(cols[j][0])
+        mat.entries[i, j] = Fraction(c, den ** sum(cols[j][0]))
     return mat
 
 
-def _newton_data(r, lam, mu):
-    """(integer Newton matrix, den, columns): column (rho, a) holds
+def _newton_data(desc, row_of, cols):
+    """Integer Newton matrix of T^r on the slice index: column (rho, a) holds
     den**length(rho) times the exact one, as word_vectors yields it."""
-    desc = ModuleDescriptor(r, tuple(lam), tuple(mu))
-    rows = monomials_of_degree(r, r)
-    row_of = {expo: i for i, expo in enumerate(rows)}
-    cols = _column_index(r, r)
-    assert len(cols) == len(rows), "count identity violated"
-    vectors = dict(word_vectors(desc, None, r))
-    mat = SparseMat(len(rows), len(cols))
+    vectors = dict(word_vectors(desc, None, desc.r))
+    mat = SparseMat(len(row_of), len(cols))
     for j, (rho, a) in enumerate(cols):
         for expo, coeff in vectors[a, rho].items():
-            mat[row_of[expo], j] = coeff
-    return mat, desc.den, cols
+            mat.entries[row_of[expo], j] = coeff
+    return mat
 
 
 @lru_cache(maxsize=16)
@@ -130,18 +129,16 @@ def power_basis_matrix(r: int) -> SparseMat:
     polynomial ring is free over the symmetric functions with basis
     {z^a : a_i < i}.  Multiplying by p_k = sum_i z_i^k is the integer word
     action _act_int with den = 0 and every base 1."""
-    rows = monomials_of_degree(r, r)
-    row_of = {expo: i for i, expo in enumerate(rows)}
-    cols = _column_index(r, r)
+    row_of, cols = _slice_index(r)
     ones = (1,) * r
-    mat = SparseMat(len(rows), len(cols))
+    mat = SparseMat(len(row_of), len(cols))
     for j, (rho, a) in enumerate(cols):
         vec = {a: 1}
         for k, times in enumerate(rho, 1):
             for _ in range(times):
                 vec = _act_int(vec, k, 0, ones)
         for expo, coeff in vec.items():
-            mat[row_of[expo], j] = coeff
+            mat.entries[row_of[expo], j] = coeff
     return mat
 
 
@@ -153,15 +150,16 @@ def _power_basis_det(r: int) -> Fraction:
 def shift_determinant_value(r: int, lam, mu) -> Fraction:
     """The degree-r slice determinant at numeric parameters: determinant of
     the endomorphism p_rho z^a -> act_word(rho, z^a) of the degree-r slice,
-    i.e. det(newton matrix) / det(power basis matrix), by exact Bareiss
-    elimination.  It is the reference that shift_determinant interpolates;
-    the shift search asks only whether it vanishes and answers that with
-    the slice rank (_slice_rank)."""
+    i.e. det(newton matrix) / det(power basis matrix), each an
+    echelon-step determinant (SparseMat.det).  It is the reference that
+    shift_determinant interpolates; the shift search asks only whether it
+    vanishes and answers that with the slice rank (_slice_rank)."""
     if r == 0:
         return Fraction(1)
-    mat, den, cols = _newton_data(r, lam, mu)
+    row_of, cols = _slice_index(r)
+    desc = ModuleDescriptor(r, tuple(lam), tuple(mu))
     degree = sum(sum(rho) for rho, _ in cols)
-    return mat.det() / (den**degree * _power_basis_det(r))
+    return _newton_data(desc, row_of, cols).det() / (desc.den**degree * _power_basis_det(r))
 
 
 def shift_determinant(r: int, lam, mu, max_r: int = MAX_SYMBOLIC_R) -> list:
@@ -171,8 +169,10 @@ def shift_determinant(r: int, lam, mu, max_r: int = MAX_SYMBOLIC_R) -> list:
 
     Monic of degree sum(length(rho)) over the columns: the top N-order of a
     word column is N^length * p_rho z^a, and the power-basis normalization
-    makes the top coefficient exactly 1.  Computed by exact interpolation at
-    N = 0..degree.
+    makes the top coefficient exactly 1.  Computed by exact interpolation of
+    the integer Newton determinants at N = 0..degree (an integer shift keeps
+    the common denominator den), divided once by den**degree * det(power
+    basis matrix).
     """
     if r > max_r:
         raise ResourceLimitError(
@@ -182,24 +182,47 @@ def shift_determinant(r: int, lam, mu, max_r: int = MAX_SYMBOLIC_R) -> list:
     mu = tuple(Fraction(x) for x in mu)
     if r == 0:
         return [Fraction(1)]
-    degree = sum(sum(rho) for rho, _ in _column_index(r, r))
+    row_of, cols = _slice_index(r)
+    degree = sum(sum(rho) for rho, _ in cols)
+    # Every integer Newton entry is a polynomial of degree <= r in the shift
+    # t: each of a word's at most r letters multiplies by a factor linear in
+    # t.  So the matrices at t = 0..r fix each entry's forward differences,
+    # which continue it to every later t by additions alone.
+    first = [
+        _newton_data(ModuleDescriptor(r, lam, tuple(m + t for m in mu)), row_of, cols).entries
+        for t in range(r + 1)
+    ]
+    diffs = {}
+    for key in set().union(*first):
+        d = [entries.get(key, 0) for entries in first]
+        for j in range(1, r + 1):  # d[j] becomes the j-th difference at t = 0
+            for i in range(r, j - 1, -1):
+                d[i] -= d[i - 1]
+        diffs[key] = d
     values = []
-    for t in range(degree + 1):
-        shifted = tuple(m + t for m in mu)
-        values.append(shift_determinant_value(r, lam, shifted))
-    return interpolate(values)
+    for _ in range(degree + 1):
+        mat = SparseMat(len(row_of), len(cols))
+        mat.entries = {key: d[0] for key, d in diffs.items() if d[0]}
+        values.append(mat.det())
+        for d in diffs.values():
+            for j in range(r):
+                d[j] += d[j + 1]
+    scale = ModuleDescriptor(r, lam, mu).den ** degree * _power_basis_det(r)
+    return [c / scale for c in interpolate(values)]
 
 
 # ---------------------------------------------------------------------------
 # graded-basis certificates
 
 
+@lru_cache(maxsize=4096)
 def _slice_rank(desc, sources, w, d=1):
     """(dimension, candidate count, rank over Q) of the word family on the
-    sources (None: the tail monomials) at weight w.  Sparse vectors are
-    eliminated first.  A rank mod p equal to the slice dimension proves
-    full rank over Q; any other slice is ranked exactly, so the rank is
-    always the rank over Q."""
+    sources (a tuple of exponent tuples; None: the tail monomials) at weight
+    w.  Sparse vectors are eliminated first.  A rank mod p equal to the
+    slice dimension proves full rank over Q; any other slice is ranked
+    exactly, so the rank is always the rank over Q.  Memoised: the shift
+    searches of spanning_generators ask for the same slices again."""
     dim = graded_dimension(desc, w)
     vectors = word_vectors(desc, sources, w, d)
     family = [
@@ -399,7 +422,7 @@ def spanning_certificate(
     if d < 1:
         raise ValueError("dilation degree must be >= 1")
     desc = ModuleDescriptor(r, tuple(lam), tuple(mu))
-    exponents = list(GeneratorSet(tuple(tuple(s) for s in S)))
+    exponents = GeneratorSet(tuple(tuple(s) for s in S)).exponents
     weights, verdict = _slice_entries(desc, exponents, cutoff, d)
     return {
         "r": r,

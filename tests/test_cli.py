@@ -282,6 +282,14 @@ def test_huge_weight_and_dilation_refused_at_once():
     _refused_at_once(argv, "100^3", "20000")
 
 
+def test_huge_phi_rank_refused_at_once():
+    # C(2r - 1, r) monomials in the degree-r slice, whatever --max-r says
+    zeros = ",".join(["0"] * 12)
+    argv = ["phi", "--r", "12", "--max-r", "12", "--lam=" + zeros, "--mu=" + zeros]
+    _refused_at_once(argv, "C(23, 12) = 1352078", "20000")
+    _refused_at_once(["phi", "--r", "12", "--max-r", "12"], "1352078", "20000")
+
+
 def test_hilbert_closure_refused():
     # harvests not closed under g_1..g_r in the window: the first weight where
     # the presented module falls below the harvest rank is named, and nothing

@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vflie.exact import (
     PRIME,
@@ -126,15 +128,47 @@ def _det_permutation(dense):
     return total
 
 
-def test_det_fraction_against_permutation_expansion():
+def test_det_against_permutation_expansion():
     rng = random.Random(7)
     for n in (2, 3, 4):
         for _ in range(5):
-            m = SparseMat(n, n)
-            for i in range(n):
-                for j in range(n):
-                    m[i, j] = Fraction(rng.randint(-4, 4), rng.randint(1, 2))
-            assert m.det() == _det_permutation(m.to_dense())
+            dense = [
+                [Fraction(rng.randint(-4, 4), rng.randint(1, 2)) for _ in range(n)]
+                for _ in range(n)
+            ]
+            entries = {(i, j): x for i, row in enumerate(dense) for j, x in enumerate(row)}
+            assert SparseMat(n, n, entries).det() == _det_permutation(dense)
+
+
+@st.composite
+def _square_matrices(draw):
+    """Sparse square matrices, 0x0 to 6x6, with integer or rational entries:
+    random, with a repeated or a zero column, or permuted triangular."""
+    n = draw(st.integers(0, 6))
+    den = st.integers(1, 4) if draw(st.booleans()) else st.just(1)
+    entry = st.one_of(st.just(0), st.builds(Fraction, st.integers(-6, 6), den))
+    cols = [[draw(entry) for _ in range(n)] for _ in range(n)]
+    kind = draw(st.sampled_from(("random", "repeated", "zero", "triangular")))
+    if kind == "triangular":
+        nonzero = st.builds(Fraction, st.integers(1, 6) | st.integers(-6, -1), den)
+        for j in range(n):
+            cols[j][j + 1 :] = [0] * (n - j - 1)
+            cols[j][j] = draw(nonzero)
+        rows, order = draw(st.permutations(range(n))), draw(st.permutations(range(n)))
+        cols = [[cols[j][i] for i in rows] for j in order]
+    elif n and kind == "zero":
+        cols[draw(st.integers(0, n - 1))] = [0] * n
+    elif n > 1 and kind == "repeated":
+        i, j = draw(st.permutations(range(n)))[:2]
+        cols[j] = list(cols[i])
+    return SparseMat(n, n, {(i, j): x for j, col in enumerate(cols) for i, x in enumerate(col)})
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_square_matrices())
+def test_det_matches_sympy(m):
+    expected = Fraction(str(_sympy_matrix(m).det()))
+    assert m.det() == expected
 
 
 def test_det_multiplicative():

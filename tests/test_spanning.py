@@ -8,6 +8,7 @@ from math import comb
 
 import pytest
 import sympy
+from sympy.polys.matrices import DomainMatrix
 
 from vflie import exact, spanning
 from vflie._enum import monomials_of_degree
@@ -247,6 +248,7 @@ CERTIFICATE_CASES = (
 
 
 def _certificates():
+    spanning._slice_rank.cache_clear()  # rank every slice in the current mode
     out = []
     for r, lam, mu, N, cutoff in CERTIFICATE_CASES:
         out.append(graded_basis_certificate(r, lam, mu, N, cutoff))
@@ -275,3 +277,59 @@ def test_certificates_match_exact_ranks(monkeypatch):
         counts.append(len(fallbacks))
     # mod 3 some full-rank slices drop, and the exact fallback carries them
     assert counts[1] > counts[0]
+
+
+def _symbolic_newton_matrix(r, lam, mu, N):
+    """newton_matrix(r, lam, mu + N) with N a sympy symbol, built from the
+    operators e_k = sum_i z_i^(k+1) d/dz_i + (mu_i + N + (k+1) lam_i) z_i^k."""
+    z = sympy.symbols("z1:%d" % (r + 1))
+
+    def e(k, f):
+        return sum(
+            z[i] ** (k + 1) * sympy.diff(f, z[i])
+            + (sympy.Rational(str(mu[i])) + N + (k + 1) * sympy.Rational(str(lam[i])))
+            * z[i] ** k
+            * f
+            for i in range(r)
+        )
+
+    rows = monomials_of_degree(r, r)
+    columns = []
+    for rho, a in _degree_r_columns(r):
+        f = sympy.Mul(*(v**x for v, x in zip(z, a)))
+        for k in range(r, 0, -1):  # e_r acts first
+            for _ in range(rho[k - 1]):
+                f = e(k, f)
+        terms = sympy.Poly(sympy.expand(f), *z).as_dict()
+        columns.append([terms.get(row, 0) for row in rows])
+    return sympy.Matrix(len(rows), len(columns), lambda i, j: columns[j][i])
+
+
+def test_shift_determinant_matches_symbolic_det():
+    N = sympy.Symbol("N")
+    rng = random.Random(78)
+    for r in (1, 2, 3):
+        lam = tuple(_rand_rat(rng) for _ in range(r))
+        mu = tuple(_rand_rat(rng) for _ in range(r))
+        power = power_basis_matrix(r)
+        power = sympy.Matrix(power.rows, power.cols, lambda i, j: int(power[i, j]))
+        # sympy's determinant over the polynomial ring Q[N]
+        newton = DomainMatrix.from_Matrix(_symbolic_newton_matrix(r, lam, mu, N))
+        newton = newton.convert_to(sympy.QQ[N])
+        det = newton.domain.to_sympy(newton.det()) / power.det()
+        expected = sympy.Poly(det, N).all_coeffs()[::-1]
+        assert shift_determinant(r, lam, mu) == [Fraction(str(c)) for c in expected], (lam, mu)
+
+
+def test_shift_determinant_zero_parameter_factorizations():
+    N = sympy.Symbol("N")
+    three_halves, four_thirds = sympy.Rational(3, 2), sympy.Rational(4, 3)
+    factors = {
+        2: N**3 * (N + 1),
+        3: N**9 * (N + 1) ** 3 * (N + three_halves) ** 2,
+        4: N**31 * (N + 1) ** 9 * (N + 2) ** 4 * (N + three_halves) ** 4 * (N + four_thirds) ** 3,
+    }
+    for r, product in factors.items():
+        expected = sympy.Poly(product, N).all_coeffs()[::-1]
+        coeffs = shift_determinant(r, (0,) * r, (0,) * r)
+        assert coeffs == [Fraction(str(c)) for c in expected], r
