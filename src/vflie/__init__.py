@@ -7,7 +7,7 @@ used anywhere, so every certificate, rank, and dimension in this package is
 exact.
 """
 
-from .exact import Echelon, SparseMat, format_rat, parse_rat, rat
+from .exact import Echelon, SparseMat, format_rat, parse_rat
 from .liealg import (
     AlgebraDescriptor,
     LieElement,

@@ -191,9 +191,7 @@ def _cmd_shift(args):
     lam = _rat_vector(args.lam, args.r)
     mu = _rat_vector(args.mu, args.r)
     _check_cutoff(args.cutoff, args.r)
-    N, cert = find_good_shift(
-        args.r, lam, mu, bound=args.bound, cutoff=args.cutoff, certificate=True
-    )
+    N, cert = find_good_shift(args.r, lam, mu, bound=args.bound, cutoff=args.cutoff)
     if args.format == "text":
         _emit(
             args,
@@ -242,7 +240,7 @@ def _cmd_hilbert(args):
     if not groebner_self_test(gb):
         raise ResourceLimitError("module basis failed its confluence self-test")
     series = hilbert_series(gb)
-    dims = [int(c) for c in series.expand(args.cutoff)]
+    dims = series.expand(args.cutoff)
     for w, (dim, rank) in enumerate(zip(dims, pres.harvest_ranks)):
         if dim != rank:
             raise ResourceLimitError(
@@ -398,8 +396,9 @@ def _cmd_specht(args):
     return EXIT_LIMIT if fit["inconclusive"] else EXIT_OK
 
 
-def _add_common(p):
-    p.add_argument("--format", choices=("json", "csv", "text"), default="json")
+def _add_common(p, formats=("json", "csv", "text")):
+    """--format, limited to the formats the subcommand renders, and --output."""
+    p.add_argument("--format", choices=formats, default="json")
     p.add_argument("--output", help="write to this path instead of stdout")
 
 
@@ -416,14 +415,14 @@ def build_parser() -> _Parser:
     p = sub.add_parser("phi", parents=[], help="shift determinant polynomial in N")
     _add_module_params(p)
     p.add_argument("--max-r", type=_window, default=5)
-    _add_common(p)
+    _add_common(p, ("json", "text"))
     p.set_defaults(func=_cmd_phi)
 
     p = sub.add_parser("shift", help="find a certified graded-basis shift")
     _add_module_params(p)
     p.add_argument("--cutoff", type=_window, default=DEFAULT_CUTOFF)
     p.add_argument("--bound", type=_window, default=DEFAULT_BOUND)
-    _add_common(p)
+    _add_common(p, ("json", "text"))
     p.set_defaults(func=_cmd_shift)
 
     p = sub.add_parser("span", help="spanning generators with certificate")
@@ -432,7 +431,7 @@ def build_parser() -> _Parser:
     p.add_argument("--cutoff", type=_window, default=10, help="verification cutoff")
     p.add_argument("--gen-cutoff", type=_window, default=DEFAULT_CUTOFF)
     p.add_argument("--bound", type=_window, default=DEFAULT_BOUND)
-    _add_common(p)
+    _add_common(p, ("json", "text"))
     p.set_defaults(func=_cmd_span)
 
     p = sub.add_parser("hilbert", help="graded module presentation and Hilbert series")
@@ -449,7 +448,7 @@ def build_parser() -> _Parser:
     p.add_argument("--p-max", type=_window, default=2)
     p.add_argument("--w-max", type=_window, default=8)
     p.add_argument("--dim-limit", type=_window, default=hm.DEFAULT_DIM_LIMIT)
-    _add_common(p)
+    _add_common(p, ("json", "csv"))
     p.set_defaults(func=_cmd_homology)
 
     p = sub.add_parser("weights", help="weight support of the gl_n module V_lambda")

@@ -27,7 +27,6 @@ import math
 from fractions import Fraction
 
 __all__ = [
-    "rat",
     "parse_rat",
     "format_rat",
     "SparseMat",
@@ -37,13 +36,6 @@ __all__ = [
     "PRIME",
     "interpolate",
 ]
-
-
-def rat(num, den=1) -> Fraction:
-    """Build a Fraction; accepts ints, Fractions or 'p/q' strings."""
-    if isinstance(num, str):
-        return parse_rat(num)
-    return Fraction(num, den)
 
 
 def parse_rat(text: str) -> Fraction:
@@ -124,7 +116,7 @@ class Echelon:
     maximal key) by integer cross-multiplication with gcd stripping, then
     either records a new pivot row (independent) or reports the dependency.
     With ``track=True`` each insert also carries its expression in terms of
-    the inserted vectors, so dependencies come out as exact kernel
+    the inserted vectors, so dependencies come out as exact integer kernel
     combinations.
     """
 
@@ -141,7 +133,7 @@ class Echelon:
     def insert(self, vec):
         """Insert a vector; returns None if independent, else the dependency.
 
-        The dependency is a {insert index: Fraction} combination c with
+        The dependency is a {insert index: int} combination c with
         sum_i c_i * v_i == 0 where v_i are the vectors as originally
         inserted and c includes the current vector's index.
         """
@@ -171,9 +163,7 @@ class Echelon:
             if combo is not None:
                 combo = _cross(combo, self._combos[lead], ca, cb)
             _strip_gcd_pair(v, combo)
-        if not self.track:
-            return {}
-        return {i: Fraction(c) for i, c in combo.items()}
+        return combo if self.track else {}
 
     def reduce(self, vec):
         """Reduce a vector against the pivots without inserting; returns the
@@ -333,7 +323,7 @@ class SparseMat:
         return rank_of_vectors(vecs)
 
     def kernel_basis(self):
-        """Basis of the right null space as tuples of Fractions.
+        """Basis of the right null space as tuples of ints.
 
         Columns are inserted left to right into a tracked echelon; every
         dependent column yields one kernel vector, normalized to a primitive
@@ -345,7 +335,7 @@ class SparseMat:
             combo = ech.insert(col)
             if combo is None:
                 continue
-            vec = [Fraction(0)] * self.cols
+            vec = [0] * self.cols
             for idx, c in combo.items():
                 vec[idx] = c
             basis.append(_normalize_kernel_vector(vec))
@@ -405,18 +395,9 @@ def _permutation_sign(perm):
 
 
 def _normalize_kernel_vector(vec):
-    denom = 1
-    for c in vec:
-        denom = denom * c.denominator // math.gcd(denom, c.denominator)
-    ints = [c.numerator * (denom // c.denominator) for c in vec]
-    g = 0
-    for v in ints:
-        g = math.gcd(g, v)
-    if g > 1:
-        ints = [v // g for v in ints]
-    for v in ints:
-        if v:
-            if v < 0:
-                ints = [-x for x in ints]
-            break
-    return tuple(Fraction(v) for v in ints)
+    """An integer vector divided by its content and signed so that its first
+    nonzero entry is positive, as a tuple."""
+    g = math.gcd(*vec)
+    if next(v for v in vec if v) < 0:
+        g = -g
+    return tuple(v // g for v in vec)

@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import accumulate, combinations
 
 from .exact import Echelon, _cross, _strip_gcd_pair, _to_int_vector, interpolate
 from .tensormod import ModuleDescriptor, word_vectors
@@ -113,7 +113,7 @@ def associated_graded_presentation(
                     llen, lb, lj, _ = columns[i]
                     if llen == length:
                         top[lj, lb] = c
-                relations.append(_normalize(_to_int_vector(top)[0]))
+                relations.append(_normalize(top))
         ranks.append(ech.rank)
     return PolyModulePresentation(descriptor.r, gen_weights, relations, tuple(ranks))
 
@@ -291,22 +291,23 @@ def groebner_self_test(pres: PolyModulePresentation) -> bool:
 @dataclass
 class RationalSeries:
     """num(t)/den(t) as ascending integer coefficient lists with no trailing
-    zeros (the zero numerator is [0]); den[0] != 0."""
+    zeros (the zero numerator is [0]) and den[0] == 1, so the power series
+    has integer coefficients."""
 
     num: list
     den: list
 
     def expand(self, upto: int):
-        """Power-series coefficients h_0..h_upto."""
+        """Power-series coefficients h_0..h_upto, as ints."""
         num, den = self.num, self.den
-        if not den or den[0] == 0:
-            raise ValueError("denominator vanishes at 0")
+        if not den or den[0] != 1:
+            raise ValueError("denominator must have constant term 1")
         h = []
         for k in range(upto + 1):
-            acc = Fraction(num[k]) if k < len(num) else Fraction(0)
+            acc = num[k] if k < len(num) else 0
             for j in range(1, min(k, len(den) - 1) + 1):
                 acc -= den[j] * h[k - j]
-            h.append(acc / den[0])
+            h.append(acc)
         return h
 
     def to_dict(self):
@@ -324,67 +325,56 @@ def one_minus_t_powers(weights):
     return out
 
 
-def _ptrim(p):
-    while p and p[-1] == 0:
-        p.pop()
-    return p
+def _divide(a, b):
+    """The quotient a/b of integer coefficient lists, or None when b does not
+    divide a.  Needs b[0] == 1: the quotient is then read off from the bottom
+    up, with integer coefficients."""
+    work = list(a)
+    q = []
+    for k in range(len(a) - len(b) + 1):
+        c = work[k]
+        q.append(c)
+        if c:
+            for j, x in enumerate(b):
+                work[k + j] -= c * x
+    if any(work):
+        return None
+    return q or [0]
 
 
-def _padd(a, b):
-    out = [Fraction(0)] * max(len(a), len(b))
-    for i, x in enumerate(a):
-        out[i] += x
-    for i, x in enumerate(b):
-        out[i] += x
-    return _ptrim(out)
+@lru_cache(maxsize=None)
+def _cyclotomic(d):
+    """The cyclotomic polynomial Phi_d signed to constant term 1, that is
+    1 - t for d = 1: 1 - t^d divided by Phi_e for every proper divisor e."""
+    p = [1] + [0] * (d - 1) + [-1]
+    for e in range(1, d):
+        if d % e == 0:
+            p = _divide(p, _cyclotomic(e))
+    return tuple(p)
 
 
-def _pdivmod(a, b):
-    a = [Fraction(x) for x in a]
-    b = [Fraction(x) for x in b]
-    _ptrim(a)
-    _ptrim(b)
-    if not b:
-        raise ZeroDivisionError
-    q = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
-    while len(a) >= len(b) and a:
-        shift = len(a) - len(b)
-        factor = a[-1] / b[-1]
-        q[shift] = factor
-        for i, x in enumerate(b):
-            a[i + shift] -= factor * x
-        _ptrim(a)
-    return _ptrim(q), a
+def _lowest_terms(num, r):
+    """num / prod_(i<=r) (1 - t^i) in lowest terms, as (num, den).
 
-
-def _pgcd(a, b):
-    a = _ptrim([Fraction(x) for x in a])
-    b = _ptrim([Fraction(x) for x in b])
-    while b:
-        _, rem = _pdivmod(a, b)
-        a, b = b, rem
-    if a:
-        lead = a[-1]
-        a = [x / lead for x in a]
-    return a
-
-
-def _reduce_fraction(num, den):
-    g = _pgcd(num, den)
-    if len(g) > 1:
-        num, _ = _pdivmod(num, g)
-        den, _ = _pdivmod(den, g)
-    denom_lcm = math.lcm(*(c.denominator for c in num + den))
-    num_i = [int(c * denom_lcm) for c in num]
-    den_i = [int(c * denom_lcm) for c in den]
-    content = math.gcd(*num_i, *den_i)
-    if content > 1:
-        num_i = [c // content for c in num_i]
-        den_i = [c // content for c in den_i]
-    if den_i and den_i[0] < 0:
-        num_i = [-c for c in num_i]
-        den_i = [-c for c in den_i]
-    return num_i or [0], den_i
+    1 - t^i is the product of Phi_d over the divisors d of i, so the
+    denominator is prod_(d<=r) Phi_d^(r//d).  Each Phi_d is irreducible over
+    Q, so the gcd of num and the denominator is prod Phi_d^(k_d), where k_d
+    is the number of times Phi_d divides num, capped at r//d.  Dividing
+    Phi_d out of both while it divides num, at most r//d times, thus leaves
+    lowest terms.  Every factor is an integer polynomial with constant term
+    1, so the quotients stay integral and den keeps den[0] == 1; den, a
+    product of primitive polynomials, is primitive (Gauss), so the pair needs
+    no sign or content fix-up.
+    """
+    den = one_minus_t_powers(range(1, r + 1))
+    for d in range(1, r + 1):
+        phi = _cyclotomic(d)
+        for _ in range(r // d):
+            q = _divide(num, phi)
+            if q is None:
+                break
+            num, den = q, _divide(den, phi)
+    return num, den
 
 
 def _monomial_quotient_numerator(gens):
@@ -414,7 +404,7 @@ def _monomial_quotient_numerator(gens):
             out.pop()
         return tuple(out)
 
-    return [Fraction(c) for c in rec(tuple(sorted(gens)))]
+    return list(rec(tuple(sorted(gens))))
 
 
 def _minimalize(gens):
@@ -430,9 +420,11 @@ def _minimalize(gens):
 def hilbert_series(pres: PolyModulePresentation) -> RationalSeries:
     """Weighted Hilbert series of the presented module by standard-monomial
     counting: complement of the leading-term module per generator slot over
-    the common denominator prod(1 - t^i), deg g_i = i.  Relations must form
-    a Groebner basis for the position-over-term weighted deg-lex order (run
-    module_groebner first)."""
+    the common denominator prod(1 - t^i), deg g_i = i, with an integer
+    numerator, then put in lowest terms by dividing out the cyclotomic
+    factors of the denominator that divide the numerator (_lowest_terms).
+    Relations must form a Groebner basis for the position-over-term weighted
+    deg-lex order (run module_groebner first)."""
     gweights = pres.generator_weights
     lead_by_pos = {j: [] for j in range(len(gweights))}
     for vec in pres.relations:
@@ -442,10 +434,12 @@ def hilbert_series(pres: PolyModulePresentation) -> RationalSeries:
     num = []
     for j, gw in enumerate(gweights):
         part = _monomial_quotient_numerator(lead_by_pos[j])
-        shifted = [Fraction(0)] * gw + part
-        num = _padd(num, shifted)
-    den = one_minus_t_powers(range(1, pres.r + 1))
-    return RationalSeries(*_reduce_fraction(num, den))
+        num += [0] * (gw + len(part) - len(num))
+        for i, c in enumerate(part):
+            num[gw + i] += c
+    while num and num[-1] == 0:
+        num.pop()
+    return RationalSeries(*_lowest_terms(num or [0], pres.r))
 
 
 # ---------------------------------------------------------------------------
@@ -462,13 +456,7 @@ def partial_sum_polynomial(series: RationalSeries, window: int):
     """
     if window < 4:
         raise ValueError("window too small")
-    h = series.expand(window)
-    f = []
-    acc = Fraction(0)
-    for x in h:
-        acc += x
-        f.append(acc)
-    rows = [f]
+    rows = [list(accumulate(series.expand(window)))]
     for _ in range(window):
         prev = rows[-1]
         if len(prev) < 2:
@@ -487,12 +475,11 @@ def partial_sum_polynomial(series: RationalSeries, window: int):
         if all(
             _poly_eval(coeffs, x0 + i) == values[i] for i in range(len(values))
         ):
-            coeffs = coeffs + [Fraction(0)] * (d + 1 - len(coeffs))
-            lead = coeffs[d] if d < len(coeffs) else Fraction(0)
-            c = lead * math.factorial(d)
+            coeffs += [Fraction(0)] * (d + 1 - len(coeffs))
+            c = coeffs[d] * math.factorial(d)
             if c.denominator != 1:
                 raise ValueError("leading coefficient %s is not integral" % c)
-            return [Fraction(x) for x in coeffs], d, int(c)
+            return coeffs, d, int(c)
     raise ValueError("window %d too small for partial sums to stabilize" % window)
 
 

@@ -312,9 +312,9 @@ def find_good_shift(
     mu,
     bound: int = DEFAULT_BOUND,
     cutoff: int = DEFAULT_CUTOFF,
-    certificate: bool = False,
 ):
-    """Search for a shift N making the word family a verified graded basis.
+    """Search for a shift N making the word family a verified graded basis;
+    returns (N, the graded_basis_certificate that proved N).
 
     Strategy: diagonal shifts (t, ..., t) for t = 0..bound first, then greedy
     per-coordinate increments driven by the first vanishing determinant along
@@ -322,13 +322,8 @@ def find_good_shift(
     graded_basis_certificate at the cutoff; determinant ray checks run over the
     window k = 0..cutoff, the only range that can touch verified weights.
     Raises SearchExhaustedError with the blocking report when the budget runs
-    out.  With certificate=True returns (N, the graded_basis_certificate
-    that proved N) instead of N.
+    out.
     """
-    if r == 0:
-        if certificate:
-            return (), graded_basis_certificate(r, lam, mu, (), cutoff)
-        return ()
     window = cutoff
     failures = []
     for t in range(bound + 1):
@@ -339,7 +334,7 @@ def find_good_shift(
             continue
         cert = graded_basis_certificate(r, lam, mu, N, cutoff)
         if cert["verdict"]:
-            return (N, cert) if certificate else N
+            return N, cert
         failures.append({"N": list(N), "vanishing": None, "rank_failure": True})
     N = [0] * r
     budget = bound * r + r
@@ -348,7 +343,7 @@ def find_good_shift(
         if obstruction is None:
             cert = graded_basis_certificate(r, lam, mu, tuple(N), cutoff)
             if cert["verdict"]:
-                return (tuple(N), cert) if certificate else tuple(N)
+                return tuple(N), cert
             failures.append({"N": list(N), "vanishing": None, "rank_failure": True})
             i = min(range(r), key=lambda j: N[j])
             N[i] += 1
@@ -387,7 +382,7 @@ def spanning_generators(
     mu = tuple(Fraction(x) for x in mu)
     if r == 0:
         return GeneratorSet(((),))
-    N = find_good_shift(r, lam, mu, bound=bound, cutoff=cutoff)
+    N, _ = find_good_shift(r, lam, mu, bound=bound, cutoff=cutoff)
     gens = set()
     for i in range(r):
         lam_layer = lam[:i] + lam[i + 1 :]

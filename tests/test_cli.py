@@ -201,6 +201,15 @@ def test_usage_errors_exit_64(tmp_path):
     gens = tmp_path / "gens.json"
     gens.write_text(json.dumps([{"1,1": "1"}]))
     assert run_cli(["specht", "--generators", str(gens), "--cutoff", "-1"])[0] == 64
+    # a --format the subcommand does not render is refused, not ignored
+    for argv in (
+        ["phi", "--r", "1", "--lam", "0", "--mu", "0", "--format", "csv"],
+        ["shift", "--r", "1", "--lam", "0", "--mu", "0", "--format", "csv"],
+        ["span", "--r", "1", "--lam", "0", "--mu", "0", "--format", "csv"],
+        ["homology", "--algebra", "L1:1", "--format", "text"],
+    ):
+        code, out, err = run_cli(argv)
+        assert code == 64 and out == "" and "--format" in err, argv
 
 
 def test_zero_denominator_exit_64():

@@ -53,6 +53,7 @@ def test_echelon_rank_and_dependency():
     assert ech.insert(vectors[1]) is None
     combo = ech.insert(vectors[2])
     assert combo is not None and 2 in combo
+    assert all(type(c) is int for c in combo.values())
     # the reported combination really sums to zero
     total = {}
     for idx, coeff in combo.items():
@@ -103,7 +104,7 @@ def test_rank_nullity_and_kernel():
         ker = m.kernel_basis()
         assert m.rank() + len(ker) == cols
         for vec in ker:
-            assert len(vec) == cols
+            assert len(vec) == cols and all(type(c) is int for c in vec)
             for i in range(rows):
                 total = sum(m[i, j] * vec[j] for j in range(cols))
                 assert total == 0

@@ -6,11 +6,14 @@ from fractions import Fraction
 from math import comb
 
 import pytest
+import sympy
 
 from vflie.exact import Echelon
 from vflie.pbw_hilbert import (
     PolyModulePresentation,
     RationalSeries,
+    _cyclotomic,
+    _lowest_terms,
     associated_graded_presentation,
     groebner_self_test,
     hilbert_series,
@@ -97,7 +100,63 @@ def test_module_groebner_completes_a_gap():
 def test_rational_series_expand():
     series = RationalSeries([0, 2], [1, -1])
     # 2t/(1-t) = 2t + 2t^2 + ...
-    assert [int(c) for c in series.expand(5)] == [0, 2, 2, 2, 2, 2]
+    dims = series.expand(5)
+    assert dims == [0, 2, 2, 2, 2, 2]
+    assert all(type(c) is int for c in dims)
+    # the series has integer coefficients only over a denominator with
+    # constant term 1, which every producer builds
+    for den in ([2, -1], [-1, 1], [0, 1], []):
+        with pytest.raises(ValueError):
+            RationalSeries([1], den).expand(3)
+
+
+_T = sympy.Symbol("t")
+
+
+def _ascending(expr):
+    """Ascending coefficients of a polynomial expression in t."""
+    return list(reversed(sympy.Poly(expr, _T).all_coeffs()))
+
+
+def _times(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def test_cyclotomic_matches_sympy():
+    for d in range(1, 31):
+        expected = _ascending(sympy.cyclotomic_poly(d, _T))
+        if expected[0] < 0:
+            expected = [-c for c in expected]
+        assert list(_cyclotomic(d)) == expected, d
+
+
+def test_lowest_terms_matches_sympy_cancel():
+    rng = random.Random(1729)
+    cancelled = 0
+    for k in range(300):
+        r = rng.randint(0, 6)
+        if k % 30 == 0:
+            num = [0]
+        else:
+            num = [rng.randint(-3, 3) for _ in range(rng.randint(0, 6))]
+            num.append(rng.choice((-2, -1, 1, 3)))  # no trailing zero
+            # cyclotomic factors, some of them in the denominator, some repeated
+            for _ in range(rng.randint(0, 5)):
+                num = _times(num, _cyclotomic(rng.randint(1, 8)))
+        den = sympy.Poly(sympy.prod([1 - _T**i for i in range(1, r + 1)]), _T)
+        p, q = sympy.Poly(list(reversed(num)), _T).cancel(den, include=True)
+        # scale sympy's pair so that the denominator has constant term 1
+        scale = q.eval(0)
+        expected = ([c / scale for c in _ascending(p)], [c / scale for c in _ascending(q)])
+        got = _lowest_terms(num, r)
+        assert got == expected, (num, r)
+        assert all(type(c) is int for c in got[0] + got[1])
+        cancelled += len(got[1]) < r * (r + 1) // 2 + 1
+    assert cancelled > 100  # the cases really exercise cancellation
 
 
 def test_partial_sum_polynomial_geometric():

@@ -170,10 +170,13 @@ def test_power_basis_matrix_matches_mpoly_products():
 
 
 def test_find_good_shift_small_cases():
-    assert find_good_shift(1, (Fraction(0),), (Fraction(0),)) == (1,)
-    assert find_good_shift(1, (Fraction(1),), (Fraction(0),)) == (0,)
-    N = find_good_shift(2, (Fraction(0), Fraction(0)), (Fraction(0), Fraction(0)))
+    assert find_good_shift(1, (Fraction(0),), (Fraction(0),))[0] == (1,)
+    assert find_good_shift(1, (Fraction(1),), (Fraction(0),))[0] == (0,)
+    N, cert = find_good_shift(2, (Fraction(0), Fraction(0)), (Fraction(0), Fraction(0)))
+    assert cert["verdict"] and cert["N"] == list(N)
     assert verify_graded_basis(2, (Fraction(0),) * 2, (Fraction(0),) * 2, N, 8)
+    # rank 0 needs no search: the empty shift, proved at t = 0
+    assert find_good_shift(0, (), ())[0] == ()
 
 
 def test_find_good_shift_exhaustion():
@@ -253,7 +256,7 @@ def _certificates():
     for r, lam, mu, N, cutoff in CERTIFICATE_CASES:
         out.append(graded_basis_certificate(r, lam, mu, N, cutoff))
         # the certificate of the searched shift records that shift as "N"
-        out.append(find_good_shift(r, lam, mu, cutoff=cutoff, certificate=True)[1])
+        out.append(find_good_shift(r, lam, mu, cutoff=cutoff)[1])
         S = [tuple(N[i] + (j == i) for j in range(r)) for i in range(r)] + [tuple(N)]
         out.append(spanning_certificate(S, r, lam, mu, cutoff))
         out.append(spanning_certificate(S, r, lam, mu, cutoff, d=2))
