@@ -10,30 +10,19 @@ exact.
 from .exact import Echelon, SparseMat, format_rat, parse_rat
 from .liealg import (
     AlgebraDescriptor,
-    LieElement,
     VFBasis,
     basis_of_weight,
     basis_up_to_weight,
-    bracket,
     bracket_basis,
     coordinate_e,
-    dilation_embedding,
-    e_basis,
-    jacobi_defect,
 )
 from .tensormod import (
     ModuleDescriptor,
     ModuleElement,
     WeightVector,
     act_e,
-    act_lie,
-    act_word,
     decompose_coinduced,
     graded_dimension,
-    module_axiom_check,
-    monomial,
-    shift_embed,
-    shift_submodule,
     weight_support,
     word_vectors,
 )
@@ -44,14 +33,10 @@ from .spanning import (
     dilated_generators,
     find_good_shift,
     graded_basis_certificate,
-    newton_matrix,
     shift_determinant,
     shift_determinant_value,
     spanning_certificate,
     spanning_generators,
-    verify_graded_basis,
-    verify_spanning,
-    verify_spanning_dilated,
 )
 from .pbw_hilbert import (
     PolyModulePresentation,
@@ -60,7 +45,6 @@ from .pbw_hilbert import (
     groebner_self_test,
     hilbert_series,
     module_groebner,
-    normal_order_word,
     partial_sum_polynomial,
 )
 from .homology import (

@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from itertools import combinations
+from bisect import bisect_right
 from math import comb
 
 from .exact import format_rat, parse_rat
@@ -28,6 +28,7 @@ from .pbw_hilbert import (
 from .spanning import (
     DEFAULT_BOUND,
     DEFAULT_CUTOFF,
+    MAX_INTERPOLATION_R,
     ResourceLimitError,
     SearchExhaustedError,
     dilated_generators,
@@ -149,20 +150,22 @@ def _check_slice_dim(r: int):
 def _check_weight_dim(lam):
     """Refuse, before the walk over its interlacing patterns, a dominant weight
     whose dim V_lam = prod_(i<j) (lam_i - lam_j + j - i)/(j - i) (Weyl)
-    exceeds the default dimension limit.  A weight that is not dominant has a
-    factor <= 0 and is left to weight_support, which refuses it as bad input."""
+    exceeds the default dimension limit.  A weight that is not dominant is
+    left to weight_support, which refuses it as bad input.  Pairs with equal
+    entries have factor 1 and are skipped; every other factor of a dominant
+    weight is above 1, so the product stops as soon as it passes the limit."""
+    if any(a < b for a, b in zip(lam, lam[1:])):
+        return
+    neg = [-a for a in lam]  # ascending: bisect finds the end of each run
     num = den = 1
-    for i, j in combinations(range(len(lam)), 2):
-        factor = lam[i] - lam[j] + j - i
-        if factor <= 0:
-            return
-        num, den = num * factor, den * (j - i)
-    dim = num // den
-    if dim > hm.DEFAULT_DIM_LIMIT:
-        raise ResourceLimitError(
-            "weight %s: dim V_lambda = %d exceeds the limit %d"
-            % (",".join(map(str, lam)), dim, hm.DEFAULT_DIM_LIMIT)
-        )
+    for i, a in enumerate(lam):
+        for j in range(bisect_right(neg, -a), len(lam)):
+            num, den = num * (a - lam[j] + j - i), den * (j - i)
+            if num > hm.DEFAULT_DIM_LIMIT * den:
+                raise ResourceLimitError(
+                    "weight %s: dim V_lambda exceeds the limit %d"
+                    % (",".join(map(str, lam)), hm.DEFAULT_DIM_LIMIT)
+                )
 
 
 # -- subcommands
@@ -414,7 +417,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("phi", parents=[], help="shift determinant polynomial in N")
     _add_module_params(p)
-    p.add_argument("--max-r", type=_window, default=5)
+    p.add_argument("--max-r", type=_window, default=MAX_INTERPOLATION_R)
     _add_common(p, ("json", "text"))
     p.set_defaults(func=_cmd_phi)
 

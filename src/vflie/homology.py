@@ -47,7 +47,7 @@ from .liealg import (
     FLAVOR_COORDINATE_SUM,
     AlgebraDescriptor,
     VFBasis,
-    basis_up_to_weight,
+    basis_of_weight,
     bracket_basis,
 )
 from .spanning import ResourceLimitError
@@ -159,11 +159,22 @@ class _Complex:
     def __init__(self, alg: AlgebraDescriptor, coeffs, w_top: int):
         coeffs.validate(alg)
         self.alg, self.coeffs, self.scale = alg, coeffs, coeffs.scale
-        self.fields = basis_up_to_weight(alg, w_top)
-        self.number = {f: i for i, f in enumerate(self.fields)}
-        self.weights = [f.weight for f in self.fields]
+        self.fields, self.number, self.weights = [], {}, []
+        self.top = alg.min_weight - 1
+        self.grow(w_top)
         self._brackets = {}
         self._actions = {}
+
+    def grow(self, w_top: int):
+        """Number the basis fields of weight up to w_top.  Fields are numbered
+        in weight order, so heavier ones extend the numbering and leave every
+        chain key and cached bracket or action as it was."""
+        for w in range(self.top + 1, w_top + 1):
+            for f in basis_of_weight(self.alg, w):
+                self.number[f] = len(self.fields)
+                self.fields.append(f)
+                self.weights.append(w)
+        self.top = max(self.top, w_top)
 
     def chains(self, p: int, w: int):
         """Keys of C_p(w): module-part weight ascending, then wedges in lex
@@ -298,13 +309,15 @@ def homology_table(
     """Exact dims {(p, w): dim H_p(w)} for p <= p_max, w <= w_max.
 
     The table is a finite window, never a completeness statement beyond it.
-    Weights are handled one at a time; a chain slice larger than dim_limit
-    raises ResourceLimitError naming the slice before any rank at its weight
-    is taken.
+    Weights are handled one at a time, and the field pool grows with the
+    weight; a chain slice larger than dim_limit raises ResourceLimitError
+    naming the slice before any rank at its weight is taken and before any
+    heavier field is numbered.
     """
-    cx = _Complex(alg, coeffs, _field_top(alg, p_max + 1, w_max))
+    cx = _Complex(alg, coeffs, _field_top(alg, p_max + 1, 0))
     table = {}
     for w in range(w_max + 1):
+        cx.grow(_field_top(alg, p_max + 1, w))
         table.update(_weight_table(cx, p_max, w, dim_limit))
     return table
 

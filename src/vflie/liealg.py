@@ -11,20 +11,16 @@ coordinatewise.  In one variable e_k denotes z^{k+1} d/dz, with
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from ._enum import monomials_of_degree
 
 __all__ = [
     "VFBasis",
-    "LieElement",
     "AlgebraDescriptor",
-    "e_basis",
     "coordinate_e",
-    "bracket",
     "bracket_basis",
-    "dilation_embedding",
     "basis_of_weight",
+    "basis_up_to_weight",
 ]
 
 
@@ -52,25 +48,6 @@ class VFBasis:
     def sort_key(self):
         return (sum(self.exponent), self.exponent, self.direction)
 
-    def __str__(self):
-        if self.n == 1:
-            return "e%d" % self.weight
-        factors = []
-        for i, a in enumerate(self.exponent):
-            if a == 1:
-                factors.append("x%d" % (i + 1))
-            elif a > 1:
-                factors.append("x%d^%d" % (i + 1, a))
-        mono = "*".join(factors) if factors else "1"
-        return "%s*d%d" % (mono, self.direction + 1)
-
-
-def e_basis(k: int) -> VFBasis:
-    """One-variable basis field e_k = z^(k+1) d/dz (weight k, requires k >= -1)."""
-    if k < -1:
-        raise ValueError("e_k requires k >= -1")
-    return VFBasis((k + 1,), 0)
-
 
 def coordinate_e(k: int, i: int, n: int) -> VFBasis:
     """The field x_i^(k+1) d_i inside n variables (i is 0-based)."""
@@ -78,82 +55,6 @@ def coordinate_e(k: int, i: int, n: int) -> VFBasis:
         raise ValueError("coordinate e_k requires k >= -1")
     expo = tuple(k + 1 if j == i else 0 for j in range(n))
     return VFBasis(expo, i)
-
-
-class LieElement:
-    """Finite Q-linear combination of monomial vector fields in n variables."""
-
-    __slots__ = ("n", "terms")
-
-    def __init__(self, n: int, terms=None):
-        self.n = n
-        self.terms = {}
-        if terms:
-            for basis, coeff in terms.items():
-                c = Fraction(coeff)
-                if c == 0:
-                    continue
-                if basis.n != n:
-                    raise ValueError("mixed variable counts in LieElement")
-                self.terms[basis] = self.terms.get(basis, Fraction(0)) + c
-                if self.terms[basis] == 0:
-                    del self.terms[basis]
-
-    @classmethod
-    def from_basis(cls, basis: VFBasis, coeff=1):
-        return cls(basis.n, {basis: Fraction(coeff)})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __add__(self, other: "LieElement") -> "LieElement":
-        if self.n != other.n:
-            raise ValueError("variable count mismatch")
-        terms = dict(self.terms)
-        for b, c in other.terms.items():
-            s = terms.get(b, Fraction(0)) + c
-            if s:
-                terms[b] = s
-            elif b in terms:
-                del terms[b]
-        out = LieElement(self.n)
-        out.terms = terms
-        return out
-
-    def __neg__(self):
-        out = LieElement(self.n)
-        out.terms = {b: -c for b, c in self.terms.items()}
-        return out
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, scalar):
-        c = Fraction(scalar)
-        out = LieElement(self.n)
-        if c:
-            out.terms = {b: k * c for b, k in self.terms.items()}
-        return out
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, LieElement)
-            and self.n == other.n
-            and self.terms == other.terms
-        )
-
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for b in sorted(self.terms, key=VFBasis.sort_key):
-            c = self.terms[b]
-            parts.append("%s%s*%s" % ("" if c >= 0 else "-", abs(c), b))
-        return " + ".join(parts).replace("+ -", "- ")
-
-    __repr__ = __str__
 
 
 def bracket_basis(u: VFBasis, v: VFBasis):
@@ -178,37 +79,6 @@ def bracket_basis(u: VFBasis, v: VFBasis):
         key = VFBasis(tuple(expo), i)
         out[key] = out.get(key, 0) - a[j]
     return tuple((k, c) for k, c in out.items() if c)
-
-
-def bracket(u: LieElement, v: LieElement) -> LieElement:
-    """Lie bracket of two elements, bilinear over the basis bracket."""
-    if u.n != v.n:
-        raise ValueError("variable count mismatch in bracket")
-    out = LieElement(u.n)
-    terms = out.terms
-    for bu, cu in u.terms.items():
-        for bv, cv in v.terms.items():
-            c = cu * cv
-            for basis, k in bracket_basis(bu, bv):
-                s = terms.get(basis, Fraction(0)) + c * k
-                if s:
-                    terms[basis] = s
-                elif basis in terms:
-                    del terms[basis]
-    return out
-
-
-def dilation_embedding(k: int, d: int) -> LieElement:
-    """Image of e_k under the degree-d dilation embedding e_k -> e_(dk)/d.
-
-    The images f_k = e_(dk)/d satisfy [f_k, f_m] = (m-k) f_(k+m) exactly,
-    giving a copy of L_1(1) inside L_d(1).
-    """
-    if d < 1:
-        raise ValueError("dilation degree must be >= 1")
-    if k < 1:
-        raise ValueError("dilation embedding is defined on e_k with k >= 1")
-    return LieElement.from_basis(e_basis(d * k), Fraction(1, d))
 
 
 FLAVOR_FULL = "W"
@@ -252,21 +122,6 @@ class AlgebraDescriptor:
             return self.d
         return 1
 
-    def contains(self, basis: VFBasis) -> bool:
-        if basis.n != self.n:
-            return False
-        if self.flavor == FLAVOR_FULL:
-            return True
-        if self.flavor == FLAVOR_VANISHING:
-            return basis.weight >= self.d
-        k = basis.weight
-        if k < 1:
-            return False
-        want = tuple(
-            k + 1 if j == basis.direction else 0 for j in range(self.n)
-        )
-        return basis.exponent == want
-
     def label(self) -> str:
         if self.flavor == FLAVOR_FULL:
             return "W:%d" % self.n
@@ -301,11 +156,3 @@ def basis_up_to_weight(alg: AlgebraDescriptor, w_max: int):
         out.extend(basis_of_weight(alg, w))
     return out
 
-
-def jacobi_defect(u: LieElement, v: LieElement, w: LieElement) -> LieElement:
-    """[[u,v],w] + [[v,w],u] + [[w,u],v]; zero iff the Jacobi identity holds."""
-    return (
-        bracket(bracket(u, v), w)
-        + bracket(bracket(v, w), u)
-        + bracket(bracket(w, u), v)
-    )

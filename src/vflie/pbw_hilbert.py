@@ -27,30 +27,12 @@ __all__ = [
     "PolyModulePresentation",
     "RationalSeries",
     "one_minus_t_powers",
-    "normal_order_word",
     "associated_graded_presentation",
     "module_groebner",
     "groebner_self_test",
     "hilbert_series",
     "partial_sum_polynomial",
 ]
-
-
-def normal_order_word(expo) -> tuple:
-    """Left-normalized word of a commutative monomial in g_1..g_r.
-
-    Input is an exponent tuple (a_1, ..., a_r); the result lists generator
-    indices in product order, e.g. g_1 g_2^2 -> (1, 2, 2).  Applied to a
-    module element (rightmost letter first) this equals
-    act_word((a_1, ..., a_r), m).
-    """
-    expo = tuple(int(a) for a in expo)
-    if any(a < 0 for a in expo):
-        raise ValueError("negative exponent")
-    word = []
-    for i, a in enumerate(expo):
-        word.extend([i + 1] * a)
-    return tuple(word)
 
 
 @dataclass

@@ -29,23 +29,21 @@ __all__ = [
     "GeneratorSet",
     "SearchExhaustedError",
     "ResourceLimitError",
-    "newton_matrix",
     "power_basis_matrix",
     "shift_determinant",
     "shift_determinant_value",
     "graded_basis_certificate",
-    "verify_graded_basis",
     "find_good_shift",
     "spanning_generators",
     "spanning_certificate",
-    "verify_spanning",
     "dilated_generators",
-    "verify_spanning_dilated",
 ]
 
 DEFAULT_CUTOFF = 8
 DEFAULT_BOUND = 12
-MAX_SYMBOLIC_R = 5
+# shift_determinant takes one exact slice determinant per interpolation
+# point, degree + 1 of them: 188 at r = 5, 696 at r = 6.
+MAX_INTERPOLATION_R = 5
 
 
 class SearchExhaustedError(RuntimeError):
@@ -96,24 +94,11 @@ def _slice_index(r: int):
     return {expo: i for i, expo in enumerate(rows)}, cols
 
 
-def newton_matrix(r: int, lam, mu) -> SparseMat:
-    """Monomial-expansion matrix of the degree-r word family.
-
-    Rows are indexed by the monomials of degree r (lex increasing), columns
-    by the pairs (rho, a); column (rho, a) holds act_word(rho, z^a) in
-    T^r_(lam, mu) expanded over the monomial basis.
-    """
-    row_of, cols = _slice_index(r)
-    desc = ModuleDescriptor(r, tuple(lam), tuple(mu))
-    mat, den = _newton_data(desc, row_of, cols), desc.den
-    for (i, j), c in mat.entries.items():
-        mat.entries[i, j] = Fraction(c, den ** sum(cols[j][0]))
-    return mat
-
-
 def _newton_data(desc, row_of, cols):
-    """Integer Newton matrix of T^r on the slice index: column (rho, a) holds
-    den**length(rho) times the exact one, as word_vectors yields it."""
+    """Integer Newton matrix of T^r on the slice index: the monomial
+    expansion of the degree-r word family, column (rho, a) holding
+    den**length(rho) times e_1^(rho_1) ... e_r^(rho_r) z^a, as word_vectors
+    yields it."""
     vectors = dict(word_vectors(desc, None, desc.r))
     mat = SparseMat(len(row_of), len(cols))
     for j, (rho, a) in enumerate(cols):
@@ -125,7 +110,7 @@ def _newton_data(desc, row_of, cols):
 @lru_cache(maxsize=16)
 def power_basis_matrix(r: int) -> SparseMat:
     """Expansion of the products p_rho z^a over the degree-r monomials,
-    same row/column ordering as newton_matrix.  Always nonsingular: the
+    same row/column ordering as _newton_data.  Always nonsingular: the
     polynomial ring is free over the symmetric functions with basis
     {z^a : a_i < i}.  Multiplying by p_k = sum_i z_i^k is the integer word
     action _act_int with den = 0 and every base 1."""
@@ -149,9 +134,9 @@ def _power_basis_det(r: int) -> Fraction:
 
 def shift_determinant_value(r: int, lam, mu) -> Fraction:
     """The degree-r slice determinant at numeric parameters: determinant of
-    the endomorphism p_rho z^a -> act_word(rho, z^a) of the degree-r slice,
-    i.e. det(newton matrix) / det(power basis matrix), each an
-    echelon-step determinant (SparseMat.det).  It is the reference that
+    the endomorphism p_rho z^a -> e_1^(rho_1) ... e_r^(rho_r) z^a of the
+    degree-r slice, i.e. det(newton matrix) / det(power basis matrix), each
+    an echelon-step determinant (SparseMat.det).  It is the reference that
     shift_determinant interpolates; the shift search asks only whether it
     vanishes and answers that with the slice rank (_slice_rank)."""
     if r == 0:
@@ -162,7 +147,7 @@ def shift_determinant_value(r: int, lam, mu) -> Fraction:
     return _newton_data(desc, row_of, cols).det() / (desc.den**degree * _power_basis_det(r))
 
 
-def shift_determinant(r: int, lam, mu, max_r: int = MAX_SYMBOLIC_R) -> list:
+def shift_determinant(r: int, lam, mu, max_r: int = MAX_INTERPOLATION_R) -> list:
     """The slice determinant along the diagonal ray: the univariate
     polynomial N -> det at parameters (lam, mu + N*(1,...,1)), as its
     ascending list of Fraction coefficients.
@@ -176,7 +161,7 @@ def shift_determinant(r: int, lam, mu, max_r: int = MAX_SYMBOLIC_R) -> list:
     """
     if r > max_r:
         raise ResourceLimitError(
-            "symbolic slice determinant capped at r <= %d (got r = %d)" % (max_r, r)
+            "slice determinant interpolation capped at r <= %d (got r = %d)" % (max_r, r)
         )
     lam = tuple(Fraction(x) for x in lam)
     mu = tuple(Fraction(x) for x in mu)
@@ -254,7 +239,7 @@ def graded_basis_certificate(r: int, lam, mu, N, cutoff: int) -> dict:
     """Per-weight rank certificate for the shifted word family.
 
     For each weight w <= cutoff, the candidate vectors are
-    act_word(b, z^a) in T^r_(lam, mu + N) over all (b, a) with
+    e_1^(b_1) ... e_r^(b_r) z^a in T^r_(lam, mu + N) over all (b, a) with
     weight(b) + |a| = w and a_i < i; the slice passes when the candidate
     count equals binom(w+r-1, r-1) and the vectors are linearly
     independent.
@@ -277,11 +262,6 @@ def graded_basis_certificate(r: int, lam, mu, N, cutoff: int) -> dict:
         "weights": weights,
         "verdict": verdict,
     }
-
-
-def verify_graded_basis(r: int, lam, mu, N, cutoff: int) -> bool:
-    """True iff the shifted word family is a graded basis up to the cutoff."""
-    return graded_basis_certificate(r, lam, mu, N, cutoff)["verdict"]
 
 
 # ---------------------------------------------------------------------------
@@ -370,7 +350,7 @@ def spanning_generators(
     bound: int = DEFAULT_BOUND,
 ) -> GeneratorSet:
     """Finite monomial set S such that words e_1^(b_1) ... e_r^(b_r) applied
-    to S span T^r_(lam, mu), certified up to the cutoff by verify_spanning.
+    to S span T^r_(lam, mu), certified up to the cutoff by spanning_certificate.
 
     Induction: a certified shift N embeds a copy with a graded word basis;
     the quotient is filtered by peeling coordinates one at a time, each layer
@@ -411,7 +391,7 @@ def spanning_certificate(
     """Per-weight rank certificate that words on S span every slice.
 
     Words use e_d, e_2d, ..., e_rd (d = 1 is the plain case); slice w passes
-    when the vectors act_word(b, z^s), s in S, reach full rank
+    when the vectors e_d^(b_1) ... e_rd^(b_r) z^s, s in S, reach full rank
     binom(w+r-1, r-1).
     """
     if d < 1:
@@ -429,11 +409,6 @@ def spanning_certificate(
         "weights": weights,
         "verdict": verdict,
     }
-
-
-def verify_spanning(S, r: int, lam, mu, cutoff: int) -> bool:
-    """True iff words e_1..e_r on S span every weight slice up to cutoff."""
-    return spanning_certificate(S, r, lam, mu, cutoff, d=1)["verdict"]
 
 
 def dilated_generators(
@@ -470,8 +445,3 @@ def dilated_generators(
             gens.add(tuple(d * t[i] + residue[i] for i in range(r)))
     return GeneratorSet(tuple(gens))
 
-
-def verify_spanning_dilated(S, r: int, lam, mu, d: int, cutoff: int) -> bool:
-    """True iff words in e_d, ..., e_rd applied to S span every weight slice
-    up to the cutoff; with d = 1 this is exactly verify_spanning."""
-    return spanning_certificate(S, r, lam, mu, cutoff, d=d)["verdict"]

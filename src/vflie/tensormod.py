@@ -15,16 +15,18 @@ The coordinatewise action of the direct sum of one-variable algebras (one
 tensor factor each), which homology with tensor coefficients needs, is
 homology.TensorCoefficients.act_scaled, on integer vectors.
 
-_act_int, den * e_k on integer vectors keyed by exponent tuple, is the one
-word-action kernel.  It has three uses:
+Two representations of the action live here:
 
-* word_vectors, behind every word family, scales the parameters by their
-  common denominator den: a word of length n yields den**n times its exact
-  vector, which changes no rank, span or primitive relation;
-* spanning.power_basis_matrix multiplies by the power sums p_k (den = 0,
-  every base 1);
-* specht.closure_basis applies the ladder operators D_k, which are e_k on
-  T^n with lambda = mu = 0 (den = 1, every base 0).
+* _act_int, den * e_k on integer vectors keyed by exponent tuple, is the
+  one word-action kernel.  word_vectors, behind every word family, scales
+  the parameters by their common denominator den: a word of length n
+  yields den**n times its exact vector, which changes no rank, span or
+  primitive relation.  spanning.power_basis_matrix multiplies by the power
+  sums p_k with it (den = 0, every base 1), and specht.closure_basis
+  applies the ladder operators D_k, which are e_k on T^n with
+  lambda = mu = 0 (den = 1, every base 0).
+* ModuleElement, a {abar: Fraction} combination, with act_e, e_k on it over
+  Q, is the independent reference that the kernel is checked against.
 """
 
 from __future__ import annotations
@@ -33,23 +35,17 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 
 from ._enum import binom, bounded_tails
 from .exact import format_rat
-from .liealg import LieElement, bracket
 
 __all__ = [
     "ModuleDescriptor",
     "ModuleElement",
     "WeightVector",
-    "monomial",
     "act_e",
-    "act_word",
     "word_vectors",
-    "act_lie",
-    "module_axiom_check",
-    "shift_submodule",
-    "shift_embed",
     "weight_support",
     "decompose_coinduced",
     "graded_dimension",
@@ -113,76 +109,6 @@ class ModuleElement:
                 if self.terms[expo] == 0:
                     del self.terms[expo]
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def weight(self):
-        """Common total degree of the support; None for 0, error if mixed."""
-        if not self.terms:
-            return None
-        degrees = {sum(e) for e in self.terms}
-        if len(degrees) > 1:
-            raise ValueError("inhomogeneous element")
-        return degrees.pop()
-
-    def _like(self, terms):
-        out = ModuleElement(self.descriptor)
-        out.terms = terms
-        return out
-
-    def __add__(self, other: "ModuleElement") -> "ModuleElement":
-        if self.descriptor != other.descriptor:
-            raise ValueError("module mismatch")
-        terms = dict(self.terms)
-        for e, c in other.terms.items():
-            s = terms.get(e, Fraction(0)) + c
-            if s:
-                terms[e] = s
-            elif e in terms:
-                del terms[e]
-        return self._like(terms)
-
-    def __neg__(self):
-        return self._like({e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, scalar):
-        c = Fraction(scalar)
-        if c == 0:
-            return self._like({})
-        return self._like({e: k * c for e, k in self.terms.items()})
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, ModuleElement)
-            and self.descriptor == other.descriptor
-            and self.terms == other.terms
-        )
-
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for expo in sorted(self.terms):
-            c = self.terms[expo]
-            mono = "*".join(
-                "z%d^%d" % (i + 1, a) if a > 1 else "z%d" % (i + 1)
-                for i, a in enumerate(expo)
-                if a
-            )
-            parts.append("%s*%s" % (format_rat(c), mono or "1"))
-        return " + ".join(parts)
-
-    __repr__ = __str__
-
-
-def monomial(descriptor: ModuleDescriptor, expo, coeff=1) -> ModuleElement:
-    return ModuleElement(descriptor, {tuple(expo): Fraction(coeff)})
-
 
 def act_e(k: int, m: ModuleElement) -> ModuleElement:
     """Diagonal action of e_k, k >= 1; raises weight by exactly k."""
@@ -240,21 +166,6 @@ def _act_int(vec, step, den, base):
     return out
 
 
-def act_word(rho, m: ModuleElement) -> ModuleElement:
-    """Apply the left-normalized word e_1^(rho_1) ... e_r^(rho_r): as an
-    operator product the rightmost factor acts first, so e_r powers are
-    applied first and e_1 powers last.  The single-word case of the
-    integer kernel behind word_vectors."""
-    den, bases = _letter_constants(m.descriptor, len(rho))
-    q = math.lcm(*(c.denominator for c in m.terms.values()))
-    vec = {e: int(c * q) for e, c in m.terms.items()}
-    for k in range(len(rho), 0, -1):
-        for _ in range(rho[k - 1]):
-            vec = _act_int(vec, k, den, bases[k - 1])
-    scale = q * den ** sum(rho)
-    return m._like({e: Fraction(c, scale) for e, c in vec.items()})
-
-
 def word_vectors(desc: ModuleDescriptor, sources, w: int, d: int = 1):
     """Labelled integer vectors of the weight-w word family of T^r.
 
@@ -293,47 +204,6 @@ def word_vectors(desc: ModuleDescriptor, sources, w: int, d: int = 1):
     return out
 
 
-def act_lie(u: LieElement, m: ModuleElement) -> ModuleElement:
-    """Action of an element of the span of {e_k : k >= 1} (one variable)."""
-    if u.n != 1:
-        raise ValueError("tensor modules here carry the one-variable action")
-    out = ModuleElement(m.descriptor)
-    for basis, coeff in u.terms.items():
-        k = basis.weight
-        out = out + coeff * act_e(k, m)
-    return out
-
-
-def module_axiom_check(u: LieElement, v: LieElement, m: ModuleElement) -> bool:
-    """u.(v.m) - v.(u.m) == [u,v].m for elements of span{e_k, k >= 1}."""
-    lhs = act_lie(u, act_lie(v, m)) - act_lie(v, act_lie(u, m))
-    rhs = act_lie(bracket(u, v), m)
-    return lhs == rhs
-
-
-def shift_submodule(descriptor: ModuleDescriptor, N) -> ModuleDescriptor:
-    """Descriptor of the submodule T^r_(lambdabar, mubar + Nbar); the
-    inclusion into T^r_(lambdabar, mubar) sends z^abar to z^(abar + Nbar)."""
-    N = tuple(int(x) for x in N)
-    if len(N) != descriptor.r or any(x < 0 for x in N):
-        raise ValueError("shift vector must be a nonnegative integer r-vector")
-    mu = tuple(m + s for m, s in zip(descriptor.mu, N))
-    return ModuleDescriptor(descriptor.r, descriptor.lam, mu)
-
-
-def shift_embed(m: ModuleElement, N, parent: ModuleDescriptor) -> ModuleElement:
-    """Apply the inclusion z^abar -> z^(abar+Nbar) of the shifted submodule
-    into its parent module."""
-    N = tuple(int(x) for x in N)
-    if shift_submodule(parent, N) != m.descriptor:
-        raise ValueError("element does not live in the N-shifted submodule")
-    out = ModuleElement(parent)
-    out.terms = {
-        tuple(a + s for a, s in zip(expo, N)): c for expo, c in m.terms.items()
-    }
-    return out
-
-
 def graded_dimension(descriptor: ModuleDescriptor, w: int) -> int:
     """Dimension of the weight-w slice of T^r: binom(w+r-1, r-1)."""
     if w < 0:
@@ -369,38 +239,27 @@ def _check_dominant(lam, n):
 def weight_support(lam, n: int):
     """Weights of the irreducible gl_n module V_lam with multiplicities.
 
-    Enumerates triangular interlacing patterns with top row lam; the weight
-    reads off the row-sum differences.  Output is sorted lexicographically
-    decreasing and the multiplicities sum to dim V_lam.
+    Counts the triangular interlacing patterns with top row lam, one row at
+    a time: a row of length k is followed by every row of length k - 1
+    that interlaces it, and the weight reads off the row-sum differences,
+    alpha_k = s_k - s_(k-1).  Patterns that agree on their last row and on
+    the weight read so far are counted together, so no step recurses.
+    Output is sorted lexicographically decreasing and the multiplicities
+    sum to dim V_lam.
     """
     lam = _check_dominant(lam, n)
+    # {(last row, (alpha_(k+1), ..., alpha_n)): number of patterns}
+    level = {(lam, ()): 1}
+    for _ in range(n - 1):
+        below = Counter()
+        for (row, alpha), count in level.items():
+            total = sum(row)
+            for nxt in product(*(range(row[i + 1], row[i] + 1) for i in range(len(row) - 1))):
+                below[nxt, (total - sum(nxt),) + alpha] += count
+        level = below
     counts = Counter()
-
-    # walk collects row totals from the top (length n) down to length 1;
-    # the weight is alpha_i = s_i - s_(i-1) over row lengths i, i-1.
-    def walk(row, totals):
-        totals = totals + [sum(row)]
-        if len(row) == 1:
-            diffs = []
-            prev = 0
-            for t in reversed(totals):
-                diffs.append(t - prev)
-                prev = t
-            counts[tuple(diffs)] += 1
-            return
-
-        def choose(i, prefix):
-            if i == len(row) - 1:
-                walk(tuple(prefix), totals)
-                return
-            for v in range(row[i + 1], row[i] + 1):
-                prefix.append(v)
-                choose(i + 1, prefix)
-                prefix.pop()
-
-        choose(0, [])
-
-    walk(lam, [])
+    for (row, alpha), count in level.items():
+        counts[row + alpha] += count
     support = [WeightVector(alpha, mult) for alpha, mult in counts.items()]
     support.sort(key=lambda wv: wv.alpha, reverse=True)
     return support

@@ -17,13 +17,7 @@ from vflie.homology import (
     chain_basis,
     homology_table,
 )
-from vflie.liealg import (
-    AlgebraDescriptor,
-    LieElement,
-    basis_up_to_weight,
-    e_basis,
-    jacobi_defect,
-)
+from vflie.liealg import AlgebraDescriptor, basis_up_to_weight, bracket_basis
 from vflie.pbw_hilbert import (
     associated_graded_presentation,
     groebner_self_test,
@@ -33,21 +27,20 @@ from vflie.pbw_hilbert import (
 )
 from vflie.spanning import (
     dilated_generators,
+    graded_basis_certificate,
     shift_determinant,
+    spanning_certificate,
     spanning_generators,
-    verify_graded_basis,
-    verify_spanning,
-    verify_spanning_dilated,
 )
 from vflie.specht import _homogeneous_split, closure_basis, tspace_series
 from vflie.tensormod import (
     ModuleDescriptor,
     ModuleElement,
+    _act_int,
+    _letter_constants,
     act_e,
     decompose_coinduced,
     graded_dimension,
-    module_axiom_check,
-    monomial,
     weight_support,
 )
 
@@ -62,31 +55,48 @@ def _rand_rat(rng, span=3):
     return Fraction(rng.randint(-span, span), rng.randint(1, 3))
 
 
+def _bracket(u, v):
+    """[u, v] of {VFBasis: int} combinations, bilinear over the structure
+    constants bracket_basis that homology uses."""
+    out = {}
+    for a, ca in u.items():
+        for b, cb in v.items():
+            for f, c in bracket_basis(a, b):
+                out[f] = out.get(f, 0) + ca * cb * c
+    return {f: c for f, c in out.items() if c}
+
+
+def _jacobi_defect(u, v, w):
+    """[[u,v],w] + [[v,w],u] + [[w,u],v] with its zero terms dropped."""
+    out = {}
+    for x, y, z in ((u, v, w), (v, w, u), (w, u, v)):
+        for f, c in _bracket(_bracket(x, y), z).items():
+            out[f] = out.get(f, 0) + c
+    return {f: c for f, c in out.items() if c}
+
+
 def test_criterion_01_jacobi_identity():
     t0 = time.perf_counter()
     w2 = AlgebraDescriptor(2, d=0, flavor="W")
     pool = basis_up_to_weight(w2, 4)
     assert len(pool) == 42
     for a, b, c in itertools.combinations(pool, 3):
-        u = LieElement(2, {a: Fraction(1)})
-        v = LieElement(2, {b: Fraction(1)})
-        w = LieElement(2, {c: Fraction(1)})
-        assert jacobi_defect(u, v, w).terms == {}
+        assert _jacobi_defect({a: 1}, {b: 1}, {c: 1}) == {}, (a, b, c)
     rng = random.Random(20240)
     w3 = AlgebraDescriptor(3, d=0, flavor="W")
     pool3 = basis_up_to_weight(w3, 2)
     for _ in range(100):
         u, v, w = (
-            LieElement(
-                3, {rng.choice(pool3): Fraction(rng.randint(-3, 3)) for _ in range(2)}
-            )
-            for _ in range(3)
+            {rng.choice(pool3): rng.randint(-3, 3) for _ in range(2)} for _ in range(3)
         )
-        assert jacobi_defect(u, v, w).terms == {}
+        assert _jacobi_defect(u, v, w) == {}, (u, v, w)
     _report("criterion 01 jacobi identity", t0, 10.0)
 
 
 def test_criterion_02_module_axiom():
+    # on the production kernel: with A_j = den * e_j (_act_int with the
+    # _letter_constants bases), e_k e_m - e_m e_k = (m - k) e_(k+m) reads
+    # A_k A_m - A_m A_k = den * (m - k) * A_(k+m)
     t0 = time.perf_counter()
     rng = random.Random(20241)
     for _ in range(50):
@@ -95,13 +105,21 @@ def test_criterion_02_module_axiom():
         mu = tuple(_rand_rat(rng) for _ in range(r))
         desc = ModuleDescriptor(r, lam, mu)
         expo = tuple(rng.randint(0, 8 // r) for _ in range(r))
-        m = monomial(desc, expo)
+        den, bases = _letter_constants(desc, 12)
+
+        def act(j, vec):
+            return _act_int(vec, j, den, bases[j - 1])
+
+        m = {expo: 1}
         for _pair in range(3):
             k = rng.randint(1, 6)
             km = rng.randint(1, 6)
-            u = LieElement(1, {e_basis(k): Fraction(1)})
-            v = LieElement(1, {e_basis(km): Fraction(1)})
-            assert module_axiom_check(u, v, m), (r, lam, mu, k, km)
+            lhs = dict(act(k, act(km, m)))
+            for e, c in act(km, act(k, m)).items():
+                lhs[e] = lhs.get(e, 0) - c
+            rhs = {e: den * (km - k) * c for e, c in act(k + km, m).items()}
+            lhs = {e: c for e, c in lhs.items() if c}
+            assert lhs == {e: c for e, c in rhs.items() if c}, (r, lam, mu, k, km)
     _report("criterion 02 module axiom", t0, 30.0)
 
 
@@ -124,10 +142,10 @@ def test_criterion_04_graded_basis_certificates():
     for r in (1, 2, 3):
         lam = (Fraction(0),) * r
         for t in (1, 2, 3):
-            assert verify_graded_basis(r, lam, lam, (t,) * r, r + 4), (r, t)
+            assert graded_basis_certificate(r, lam, lam, (t,) * r, r + 4)["verdict"], (r, t)
     for r in (4, 5):
         lam = (Fraction(0),) * r
-        assert verify_graded_basis(r, lam, lam, (1,) * r, r + 4), r
+        assert graded_basis_certificate(r, lam, lam, (1,) * r, r + 4)["verdict"], r
     _report("criterion 04 graded basis certificates", t0, 120.0)
 
 
@@ -139,11 +157,11 @@ def test_criterion_05_spanning_certificates():
         lam = tuple(_rand_rat(rng) for _ in range(r))
         mu = tuple(_rand_rat(rng) for _ in range(r))
         S = spanning_generators(r, lam, mu)
-        assert verify_spanning(S, r, lam, mu, 10), (r, lam, mu)
+        assert spanning_certificate(S, r, lam, mu, 10)["verdict"], (r, lam, mu)
     for r in (1, 2):
         lam = (Fraction(0),) * r
         S = dilated_generators(r, lam, lam, 2)
-        assert verify_spanning_dilated(S, r, lam, lam, 2, 10), r
+        assert spanning_certificate(S, r, lam, lam, 10, d=2)["verdict"], r
     _report("criterion 05 spanning certificates", t0, 300.0)
 
 

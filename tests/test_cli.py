@@ -6,6 +6,7 @@ import importlib.util
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -115,6 +116,52 @@ def test_weights_json():
     assert {"alpha": [2, 1], "mult": 1} in payload["weights"]
 
 
+def test_weights_long_inputs():
+    # one row of the interlacing pattern per entry, no stack frame per entry
+    code, out, _ = run_cli(["weights", "--lam", ",".join(["0"] * 60)])
+    assert code == 0
+    assert json.loads(out)["weights"] == [{"alpha": [0] * 60, "mult": 1}]
+    code, out, _ = run_cli(["weights", "--lam", ",".join(["1"] + ["0"] * 59)])
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["total_dim"] == 60
+    assert len(payload["weights"]) == 60
+    assert all(w["mult"] == 1 and sorted(w["alpha"]) == [0] * 59 + [1] for w in payload["weights"])
+
+
+def _weyl_dim(lam):
+    num = den = 1
+    for i in range(len(lam)):
+        for j in range(i + 1, len(lam)):
+            num, den = num * (lam[i] - lam[j] + j - i), den * (j - i)
+    return num // den
+
+
+def test_weight_dim_guard():
+    # the guard refuses exactly the dominant weights above the limit
+    rng = random.Random(15)
+    outcomes = set()
+    for _ in range(300):
+        lam = tuple(sorted((rng.randint(0, 12) for _ in range(rng.randint(1, 7))), reverse=True))
+        refused = False
+        try:
+            cli._check_weight_dim(lam)
+        except spanning.ResourceLimitError:
+            refused = True
+        assert refused == (_weyl_dim(lam) > 20000), lam
+        outcomes.add(refused)
+    assert outcomes == {True, False}
+    # zeros have only factors 1; a strictly decreasing weight passes the
+    # limit after a few factors of its 319600
+    for lam in ((0,) * 800, tuple(range(799, -1, -1))):
+        start = time.perf_counter()
+        try:
+            cli._check_weight_dim(lam)
+        except spanning.ResourceLimitError:
+            pass
+        assert time.perf_counter() - start < 0.25
+
+
 def test_specht_subcommand(tmp_path):
     path = tmp_path / "gens.json"
     path.write_text(json.dumps([{"1,1": "1"}]))
@@ -179,6 +226,8 @@ def test_usage_errors_exit_64(tmp_path):
     assert run_cli(["weights", "--lam="])[0] == 64  # an empty weight
     # not dominant, though its Weyl product is positive and large
     assert run_cli(["weights", "--lam", "0,500,0,1000"])[0] == 64
+    # not dominant, though a dominant prefix already passes the size limit
+    assert run_cli(["weights", "--lam", "1000,0,0,0,0,0,0,5"])[0] == 64
     assert run_cli(["specht", "--generators", "/does/not/exist.json"])[0] == 64
     # negative windows are bad input, not an empty or vacuous answer
     assert run_cli(["span", "--r", "2", "--lam", "0,0", "--mu", "0,0", "--cutoff", "-1"])[0] == 64
@@ -246,6 +295,11 @@ def test_limit_exit_2():
     )
     assert code == 2
     assert "limit" in err
+    # --max-r defaults to the interpolation cap
+    zeros = ",".join(["0"] * 6)
+    code, out, err = run_cli(["phi", "--r", "6", "--lam", zeros, "--mu", zeros])
+    assert (code, out) == (2, "")
+    assert err == "limit: slice determinant interpolation capped at r <= 5 (got r = 6)\n"
     code, _, _ = run_cli(
         ["homology", "--algebra", "L1:1", "--p-max", "2", "--w-max", "9", "--dim-limit", "3"]
     )
@@ -284,11 +338,19 @@ def test_huge_cutoff_refused_at_once(tmp_path):
 
 
 def test_huge_weight_and_dilation_refused_at_once():
-    # dim V_lambda by the Weyl formula: that many interlacing patterns
-    _refused_at_once(["weights", "--lam", "1000,0,0,0,0,0,0"], "1418299634202451", "20000")
+    # dim V_lambda by the Weyl formula (1418299634202451 here): that many
+    # interlacing patterns; the product stops once it passes the limit
+    _refused_at_once(["weights", "--lam", "1000,0,0,0,0,0,0"], "1000,0,0,0,0,0,0", "20000")
     # one shift search per residue vector, 100^3 of them
     argv = ["span", "--r", "3", "--lam=0,0,0", "--mu=0,0,0", "--d", "100", "--cutoff", "3"]
     _refused_at_once(argv, "100^3", "20000")
+
+
+def test_huge_homology_window_refused_at_once():
+    # the field pool grows with the weight, so the first slice over the limit
+    # is refused before the fields of the rest of the window are numbered
+    argv = ["homology", "--algebra", "L1:4", "--p-max", "1", "--w-max", "100000"]
+    _refused_at_once(argv, "p=2, w=5", "20000")
 
 
 def test_huge_phi_rank_refused_at_once():

@@ -18,19 +18,10 @@ from vflie.pbw_hilbert import (
     groebner_self_test,
     hilbert_series,
     module_groebner,
-    normal_order_word,
     partial_sum_polynomial,
 )
 from vflie.spanning import spanning_generators
 from vflie.tensormod import ModuleDescriptor, graded_dimension
-
-
-def test_normal_order_word_from_tuple():
-    assert normal_order_word((2, 0, 1)) == (1, 1, 3)
-    assert normal_order_word((0, 0)) == ()
-    assert normal_order_word((1, 2)) == (1, 2, 2)
-    with pytest.raises(ValueError):
-        normal_order_word((1, -1))
 
 
 def test_free_rank_one_module():

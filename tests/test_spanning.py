@@ -12,21 +12,19 @@ from sympy.polys.matrices import DomainMatrix
 
 from vflie import exact, spanning
 from vflie._enum import monomials_of_degree
-from vflie.tensormod import ModuleDescriptor, act_word, monomial
+from vflie.tensormod import ModuleDescriptor, ModuleElement, act_e
 from vflie.spanning import (
     SearchExhaustedError,
+    _newton_data,
+    _slice_index,
     dilated_generators,
     find_good_shift,
     graded_basis_certificate,
-    newton_matrix,
     power_basis_matrix,
     shift_determinant,
     shift_determinant_value,
     spanning_certificate,
     spanning_generators,
-    verify_graded_basis,
-    verify_spanning,
-    verify_spanning_dilated,
 )
 
 
@@ -110,33 +108,48 @@ def test_ray_obstruction_matches_determinants():
     assert outcomes == {True, False}
 
 
+def _newton_matrix(r, lam, mu):
+    """The integer Newton matrix of the degree-r slice and its columns."""
+    row_of, cols = _slice_index(r)
+    return _newton_data(ModuleDescriptor(r, lam, mu), row_of, cols), cols
+
+
 def test_newton_matrix_square_by_count_identity():
     for r in (1, 2, 3):
-        m = newton_matrix(r, (Fraction(0),) * r, (Fraction(0),) * r)
+        row_of, cols = _slice_index(r)
+        assert list(row_of) == [tuple(e) for e in monomials_of_degree(r, r)]
+        assert list(row_of.values()) == list(range(len(row_of)))
+        assert cols == _degree_r_columns(r)
+        m, _ = _newton_matrix(r, (Fraction(0),) * r, (Fraction(0),) * r)
         assert m.rows == m.cols == comb(r + r - 1, r - 1)
 
 
 def test_newton_matrix_rank_trivial_params():
-    m = newton_matrix(2, (Fraction(0), Fraction(0)), (Fraction(1), Fraction(1)))
+    m, _ = _newton_matrix(2, (Fraction(0), Fraction(0)), (Fraction(1), Fraction(1)))
     assert m.rows == 3
     assert m.rank() == 3
 
 
 def test_newton_matrix_fractional_parameters_exact():
+    # the integer column (rho, a), divided by den**length(rho), is the word
+    # e_1^(rho_1) ... e_r^(rho_r) z^a taken one Fraction act_e at a time
     rng = random.Random(91)
     for r in (1, 2, 3):
         lam = tuple(Fraction(2 * rng.randint(-2, 2) + 1, 2) for _ in range(r))
         mu = tuple(_rand_rat(rng) for _ in range(r))
-        m = newton_matrix(r, lam, mu)
+        m, cols = _newton_matrix(r, lam, mu)
         desc = ModuleDescriptor(r, lam, mu)
         rows = monomials_of_degree(r, r)
-        cols = _degree_r_columns(r)
         assert (m.rows, m.cols) == (len(rows), len(cols))
+        assert all(type(c) is int for c in m.entries.values())
         for j, (rho, a) in enumerate(cols):
-            column = act_word(rho, monomial(desc, a)).terms
+            vec = ModuleElement(desc, {a: 1})
+            for k in range(r, 0, -1):
+                for _ in range(rho[k - 1]):
+                    vec = act_e(k, vec)
+            scale = desc.den ** sum(rho)
             for i, row in enumerate(rows):
-                assert isinstance(m[i, j], Fraction)
-                assert m[i, j] == column.get(row, 0)
+                assert Fraction(m.entries.get((i, j), 0), scale) == vec.terms.get(tuple(row), 0)
 
 
 def _degree_r_columns(r):
@@ -174,7 +187,7 @@ def test_find_good_shift_small_cases():
     assert find_good_shift(1, (Fraction(1),), (Fraction(0),))[0] == (0,)
     N, cert = find_good_shift(2, (Fraction(0), Fraction(0)), (Fraction(0), Fraction(0)))
     assert cert["verdict"] and cert["N"] == list(N)
-    assert verify_graded_basis(2, (Fraction(0),) * 2, (Fraction(0),) * 2, N, 8)
+    assert graded_basis_certificate(2, (Fraction(0),) * 2, (Fraction(0),) * 2, N, 8)["verdict"]
     # rank 0 needs no search: the empty shift, proved at t = 0
     assert find_good_shift(0, (), ())[0] == ()
 
@@ -199,13 +212,13 @@ def test_graded_basis_certificate_shape():
 def test_spanning_generators_rank_one():
     S = spanning_generators(1, (Fraction(0),), (Fraction(0),))
     assert S.to_list() == [[0], [1]]
-    assert verify_spanning(S, 1, (Fraction(0),), (Fraction(0),), 12)
+    assert spanning_certificate(S, 1, (Fraction(0),), (Fraction(0),), 12)["verdict"]
 
 
 def test_spanning_generators_rank_two_trivial():
     S = spanning_generators(2, (Fraction(0),) * 2, (Fraction(0),) * 2)
     assert S.to_list() == [[0, 0], [0, 1], [1, 0], [1, 1], [1, 2]]
-    assert verify_spanning(S, 2, (Fraction(0),) * 2, (Fraction(0),) * 2, 10)
+    assert spanning_certificate(S, 2, (Fraction(0),) * 2, (Fraction(0),) * 2, 10)["verdict"]
 
 
 def test_spanning_random_parameters():
@@ -224,14 +237,14 @@ def test_spanning_random_parameters():
 def test_dilated_generators_rank_one():
     S = dilated_generators(1, (Fraction(0),), (Fraction(0),), 2)
     assert S.to_list() == [[0], [1], [2]]
-    assert verify_spanning_dilated(S, 1, (Fraction(0),), (Fraction(0),), 2, 10)
+    assert spanning_certificate(S, 1, (Fraction(0),), (Fraction(0),), 10, d=2)["verdict"]
 
 
 def test_dilated_generators_rank_two():
     lam = (Fraction(0), Fraction(0))
     mu = (Fraction(0), Fraction(0))
     S = dilated_generators(2, lam, mu, 2)
-    assert verify_spanning_dilated(S, 2, lam, mu, 2, 8)
+    assert spanning_certificate(S, 2, lam, mu, 8, d=2)["verdict"]
 
 
 def test_spanning_certificate_dilated_shape():
@@ -283,7 +296,7 @@ def test_certificates_match_exact_ranks(monkeypatch):
 
 
 def _symbolic_newton_matrix(r, lam, mu, N):
-    """newton_matrix(r, lam, mu + N) with N a sympy symbol, built from the
+    """The Newton matrix at (lam, mu + N) with N a sympy symbol, built from the
     operators e_k = sum_i z_i^(k+1) d/dz_i + (mu_i + N + (k+1) lam_i) z_i^k."""
     z = sympy.symbols("z1:%d" % (r + 1))
 
