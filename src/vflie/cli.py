@@ -14,6 +14,7 @@ import argparse
 import json
 import sys
 from bisect import bisect_right
+from collections import Counter
 from math import comb
 
 from .exact import format_rat, parse_rat
@@ -86,7 +87,7 @@ def _parse_algebra(text: str) -> AlgebraDescriptor:
 
 
 def _emit(args, text: str):
-    if getattr(args, "output", None):
+    if args.output:
         with open(args.output, "w") as fh:
             fh.write(text)
     else:
@@ -149,17 +150,24 @@ def _check_slice_dim(r: int):
 
 def _check_weight_dim(lam):
     """Refuse, before the walk over its interlacing patterns, a dominant weight
-    whose dim V_lam = prod_(i<j) (lam_i - lam_j + j - i)/(j - i) (Weyl)
-    exceeds the default dimension limit.  A weight that is not dominant is
-    left to weight_support, which refuses it as bad input.  Pairs with equal
+    of n entries when C(n, 2), the pattern entries below the top row, or
+    dim V_lam = prod_(i<j) (lam_i - lam_j + j - i)/(j - i) (Weyl), the pattern
+    count, exceeds the default dimension limit.  A weight that is not dominant
+    is left to weight_support, which refuses it as bad input.  Pairs with equal
     entries have factor 1 and are skipped; every other factor of a dominant
     weight is above 1, so the product stops as soon as it passes the limit."""
     if any(a < b for a, b in zip(lam, lam[1:])):
         return
+    n = len(lam)
+    if comb(n, 2) > hm.DEFAULT_DIM_LIMIT:
+        raise ResourceLimitError(
+            "n = %d: C(%d, 2) = %d pattern entries below the top row exceed the limit %d"
+            % (n, n, comb(n, 2), hm.DEFAULT_DIM_LIMIT)
+        )
     neg = [-a for a in lam]  # ascending: bisect finds the end of each run
     num = den = 1
     for i, a in enumerate(lam):
-        for j in range(bisect_right(neg, -a), len(lam)):
+        for j in range(bisect_right(neg, -a), n):
             num, den = num * (a - lam[j] + j - i), den * (j - i)
             if num > hm.DEFAULT_DIM_LIMIT * den:
                 raise ResourceLimitError(
@@ -168,46 +176,48 @@ def _check_weight_dim(lam):
                 )
 
 
+def _module(args) -> ModuleDescriptor:
+    """The tensor module of --r, --lam and --mu."""
+    return ModuleDescriptor(args.r, _rat_vector(args.lam, args.r), _rat_vector(args.mu, args.r))
+
+
+def _lines(lines) -> str:
+    return "\n".join(lines) + "\n"
+
+
+def _dims_csv(dims) -> str:
+    """The ``w,dim`` table of a dimension sequence."""
+    return _lines(["w,dim"] + ["%d,%d" % wd for wd in enumerate(dims)])
+
+
 # -- subcommands
+#
+# Each _cmd_* parses and checks its input and computes its result, then
+# returns (exit code, payload, views): the payload is the JSON object, and
+# views maps every other format the subcommand offers (and, for homology,
+# json too) to a zero-argument callable that renders it, so a run renders
+# only the format it prints.  main alone picks the format and writes it.
 
 
 def _cmd_phi(args):
     _check_slice_dim(args.r)
-    lam = _rat_vector(args.lam, args.r)
-    mu = _rat_vector(args.mu, args.r)
-    coeffs = shift_determinant(args.r, lam, mu, max_r=args.max_r)
-    payload = {
-        "r": args.r,
-        "lambda": [format_rat(x) for x in lam],
-        "mu": [format_rat(x) for x in mu],
-        "poly": _format_poly(coeffs),
-        "coeffs": [format_rat(c) for c in coeffs],
-    }
-    if args.format == "text":
-        _emit(args, payload["poly"] + "\n")
-    else:
-        _emit(args, _json(payload))
-    return EXIT_OK
+    desc = _module(args)
+    coeffs = shift_determinant(args.r, desc.lam, desc.mu, max_r=args.max_r)
+    poly = _format_poly(coeffs)
+    payload = {**desc.to_dict(), "poly": poly, "coeffs": [format_rat(c) for c in coeffs]}
+    return EXIT_OK, payload, {"text": lambda: poly + "\n"}
 
 
 def _cmd_shift(args):
-    lam = _rat_vector(args.lam, args.r)
-    mu = _rat_vector(args.mu, args.r)
+    desc = _module(args)
     _check_cutoff(args.cutoff, args.r)
-    N, cert = find_good_shift(args.r, lam, mu, bound=args.bound, cutoff=args.cutoff)
-    if args.format == "text":
-        _emit(
-            args,
-            "N = %s  verdict = %s\n" % (",".join(map(str, N)), cert["verdict"]),
-        )
-    else:
-        _emit(args, _json(cert))
-    return EXIT_OK if cert["verdict"] else EXIT_FALSE
+    N, cert = find_good_shift(args.r, desc.lam, desc.mu, bound=args.bound, cutoff=args.cutoff)
+    views = {"text": lambda: "N = %s  verdict = %s\n" % (",".join(map(str, N)), cert["verdict"])}
+    return EXIT_OK if cert["verdict"] else EXIT_FALSE, cert, views
 
 
 def _cmd_span(args):
-    lam = _rat_vector(args.lam, args.r)
-    mu = _rat_vector(args.mu, args.r)
+    desc = _module(args)
     _check_cutoff(max(args.cutoff, args.gen_cutoff), args.r)
     if args.d < 1:
         raise ValueError("dilation degree must be >= 1")
@@ -217,27 +227,27 @@ def _cmd_span(args):
             % (args.d, args.d, args.r, hm.DEFAULT_DIM_LIMIT)
         )
     if args.d == 1:
-        S = spanning_generators(args.r, lam, mu, cutoff=args.gen_cutoff, bound=args.bound)
+        S = spanning_generators(args.r, desc.lam, desc.mu, cutoff=args.gen_cutoff, bound=args.bound)
     else:
-        S = dilated_generators(args.r, lam, mu, args.d, cutoff=args.gen_cutoff, bound=args.bound)
-    cert = spanning_certificate(S, args.r, lam, mu, args.cutoff, d=args.d)
-    if args.format == "text":
-        lines = ["generators (%d):" % len(cert["generators"])]
-        lines += ["  " + ",".join(map(str, g)) for g in cert["generators"]]
-        lines.append("verdict = %s" % cert["verdict"])
-        _emit(args, "\n".join(lines) + "\n")
-    else:
-        _emit(args, _json(cert))
-    return EXIT_OK if cert["verdict"] else EXIT_FALSE
+        S = dilated_generators(
+            args.r, desc.lam, desc.mu, args.d, cutoff=args.gen_cutoff, bound=args.bound
+        )
+    cert = spanning_certificate(S, args.r, desc.lam, desc.mu, args.cutoff, d=args.d)
+    views = {
+        "text": lambda: _lines(
+            ["generators (%d):" % len(cert["generators"])]
+            + ["  " + ",".join(map(str, g)) for g in cert["generators"]]
+            + ["verdict = %s" % cert["verdict"]]
+        )
+    }
+    return EXIT_OK if cert["verdict"] else EXIT_FALSE, cert, views
 
 
 def _cmd_hilbert(args):
-    lam = _rat_vector(args.lam, args.r)
-    mu = _rat_vector(args.mu, args.r)
+    desc = _module(args)
     gen_cutoff = max(args.r, DEFAULT_CUTOFF)
     _check_cutoff(max(args.cutoff, gen_cutoff), args.r)
-    desc = ModuleDescriptor(args.r, lam, mu)
-    S = spanning_generators(args.r, lam, mu, cutoff=gen_cutoff, bound=args.bound)
+    S = spanning_generators(args.r, desc.lam, desc.mu, cutoff=gen_cutoff, bound=args.bound)
     pres = associated_graded_presentation(desc, list(S), args.cutoff)
     gb = module_groebner(pres)
     if not groebner_self_test(gb):
@@ -252,17 +262,13 @@ def _cmd_hilbert(args):
                 % (args.r, w, dim, rank)
             )
     expected = [graded_dimension(desc, w) for w in range(args.cutoff + 1)]
-    by_weight = {}
-    for rel in gb.relations:
-        lead = min(
-            gb.generator_weights[pos] + sum((i + 1) * e for i, e in enumerate(expo))
-            for pos, expo in rel
-        )
-        by_weight[lead] = by_weight.get(lead, 0) + 1
+    gw = gb.generator_weights
+    by_weight = Counter(  # relations by the weight of their lowest term
+        min(gw[pos] + sum((i + 1) * e for i, e in enumerate(expo)) for pos, expo in rel)
+        for rel in gb.relations
+    )
     payload = {
-        "r": args.r,
-        "lambda": [format_rat(x) for x in lam],
-        "mu": [format_rat(x) for x in mu],
+        **desc.to_dict(),
         "generators": [list(g) for g in S],
         "series": series.to_dict(),
         "dims": dims,
@@ -270,7 +276,6 @@ def _cmd_hilbert(args):
         "relations_by_weight": {str(k): v for k, v in sorted(by_weight.items())},
         "cutoff": args.cutoff,
     }
-    inconclusive = False
     try:
         coeffs, d, c = partial_sum_polynomial(series, args.cutoff)
         payload["partial_sum"] = {
@@ -278,20 +283,15 @@ def _cmd_hilbert(args):
             "coeffs": [format_rat(x) for x in coeffs],
             "normalized_leading": c,
         }
+        code = EXIT_OK
     except ValueError as exc:
         payload["partial_sum"] = {"error": str(exc)}
-        inconclusive = True
-    if args.format == "csv":
-        lines = ["w,dim"] + ["%d,%d" % (w, dims[w]) for w in range(len(dims))]
-        _emit(args, "\n".join(lines) + "\n")
-    elif args.format == "text":
-        series_dict = payload["series"]
-        _emit(args, "num=%s den=%s dims=%s\n" % (series_dict["num"], series_dict["den"], dims))
-    else:
-        _emit(args, _json(payload))
-    if not payload["dims_match"]:
-        return EXIT_FALSE
-    return EXIT_LIMIT if inconclusive else EXIT_OK
+        code = EXIT_LIMIT
+    views = {
+        "csv": lambda: _dims_csv(dims),
+        "text": lambda: "num=%(num)s den=%(den)s" % payload["series"] + " dims=%s\n" % dims,
+    }
+    return code if dims == expected else EXIT_FALSE, payload, views
 
 
 def _cmd_homology(args):
@@ -305,11 +305,11 @@ def _cmd_homology(args):
     else:
         coeffs = hm.TrivialCoefficients()
     table = hm.homology_table(alg, coeffs, args.p_max, args.w_max, dim_limit=args.dim_limit)
-    if args.format == "json":
-        _emit(args, hm.table_to_json(alg, table, args.p_max, args.w_max))
-    else:
-        _emit(args, hm.table_to_csv(table, args.p_max, args.w_max))
-    return EXIT_OK
+    views = {
+        "json": lambda: hm.table_to_json(alg, table, args.p_max, args.w_max),
+        "csv": lambda: hm.table_to_csv(table, args.p_max, args.w_max),
+    }
+    return EXIT_OK, None, views
 
 
 def _cmd_weights(args):
@@ -321,9 +321,7 @@ def _cmd_weights(args):
     payload = {
         "lambda": list(lam),
         "n": n,
-        "weights": [
-            {"alpha": list(wv.alpha), "mult": wv.multiplicity} for wv in support
-        ],
+        "weights": [{"alpha": list(wv.alpha), "mult": wv.multiplicity} for wv in support],
         "total_dim": sum(wv.multiplicity for wv in support),
         "modules": [
             {
@@ -334,17 +332,14 @@ def _cmd_weights(args):
             for d, m in modules
         ],
     }
-    if args.format == "csv":
-        lines = ["alpha,mult"] + [
-            "%s,%d" % (" ".join(map(str, wv.alpha)), wv.multiplicity) for wv in support
-        ]
-        _emit(args, "\n".join(lines) + "\n")
-    elif args.format == "text":
-        lines = ["%s  x%d" % (wv.alpha, wv.multiplicity) for wv in support]
-        _emit(args, "\n".join(lines) + "\n")
-    else:
-        _emit(args, _json(payload))
-    return EXIT_OK
+    views = {
+        "csv": lambda: _lines(
+            ["alpha,mult"]
+            + ["%s,%d" % (" ".join(map(str, wv.alpha)), wv.multiplicity) for wv in support]
+        ),
+        "text": lambda: _lines(["%s  x%d" % (wv.alpha, wv.multiplicity) for wv in support]),
+    }
+    return EXIT_OK, payload, views
 
 
 def _load_generators(path: str):
@@ -389,14 +384,11 @@ def _cmd_specht(args):
     }
     if not fit["inconclusive"]:
         payload["series"] = {"num": fit["num"], "den": fit["den"]}
-    if args.format == "csv":
-        lines = ["w,dim"] + ["%d,%d" % (w, d) for w, d in enumerate(fit["dims"])]
-        _emit(args, "\n".join(lines) + "\n")
-    elif args.format == "text":
-        _emit(args, "dims=%s inconclusive=%s\n" % (fit["dims"], fit["inconclusive"]))
-    else:
-        _emit(args, _json(payload))
-    return EXIT_LIMIT if fit["inconclusive"] else EXIT_OK
+    views = {
+        "csv": lambda: _dims_csv(fit["dims"]),
+        "text": lambda: "dims=%s inconclusive=%s\n" % (fit["dims"], fit["inconclusive"]),
+    }
+    return EXIT_LIMIT if fit["inconclusive"] else EXIT_OK, payload, views
 
 
 def _add_common(p, formats=("json", "csv", "text")):
@@ -415,7 +407,7 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="vflie", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("phi", parents=[], help="shift determinant polynomial in N")
+    p = sub.add_parser("phi", help="shift determinant polynomial in N")
     _add_module_params(p)
     p.add_argument("--max-r", type=_window, default=MAX_INTERPOLATION_R)
     _add_common(p, ("json", "text"))
@@ -475,7 +467,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
-        return args.func(args)
+        code, payload, views = args.func(args)
+        _emit(args, views[args.format]() if args.format in views else _json(payload))
+        return code
     except (SearchExhaustedError, ResourceLimitError) as exc:
         sys.stderr.write("limit: %s\n" % exc)
         return EXIT_LIMIT

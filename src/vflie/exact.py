@@ -375,13 +375,6 @@ class SparseMat:
             lead_of.append(lead)
         return Fraction(_permutation_sign(lead_of) * num // den, scale)
 
-    def __repr__(self):
-        return "SparseMat(%d x %d, %d nonzero)" % (
-            self.rows,
-            self.cols,
-            len(self.entries),
-        )
-
 
 def _permutation_sign(perm):
     """Sign (-1)**(n - cycles) of the permutation i -> perm[i] of 0..n-1."""

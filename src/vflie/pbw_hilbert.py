@@ -431,42 +431,25 @@ def hilbert_series(pres: PolyModulePresentation) -> RationalSeries:
 def partial_sum_polynomial(series: RationalSeries, window: int):
     """Eventual polynomial of the partial sums f(n) = sum_(k<=n) h_k.
 
-    Detects stabilization by finite differences on the tail of the window;
-    returns (coefficients ascending, d, c) where the leading term is
+    Detects stabilization by finite differences on the tail of the window:
+    when the last four d-th differences agree, the last d + 4 partial sums lie
+    on one polynomial of degree <= d, the one through the first d + 1 of them.
+    Returns (coefficients ascending, d, c) where the leading term is
     c * n^d / d! with integer c.  Raises ValueError when the window is too
     small to stabilize.
     """
     if window < 4:
         raise ValueError("window too small")
-    rows = [list(accumulate(series.expand(window)))]
-    for _ in range(window):
-        prev = rows[-1]
-        if len(prev) < 2:
-            break
-        rows.append([prev[i + 1] - prev[i] for i in range(len(prev) - 1)])
-    for d in range(len(rows)):
-        row = rows[d]
-        if len(row) < 4:
-            break
-        tail = row[-4:]
-        if any(x != tail[0] for x in tail):
-            continue
-        x0 = window - d - 3
-        values = [rows[0][x0 + i] for i in range(d + 4)]
-        coeffs = interpolate(values[: d + 1], x0)
-        if all(
-            _poly_eval(coeffs, x0 + i) == values[i] for i in range(len(values))
-        ):
+    sums = list(accumulate(series.expand(window)))
+    row, d = sums, 0  # row: the d-th differences of sums
+    while len(row) >= 4:
+        if all(x == row[-1] for x in row[-4:]):
+            x0 = window - d - 3
+            coeffs = interpolate(sums[x0 : x0 + d + 1], x0)
             coeffs += [Fraction(0)] * (d + 1 - len(coeffs))
             c = coeffs[d] * math.factorial(d)
             if c.denominator != 1:
                 raise ValueError("leading coefficient %s is not integral" % c)
             return coeffs, d, int(c)
+        row, d = [b - a for a, b in zip(row, row[1:])], d + 1
     raise ValueError("window %d too small for partial sums to stabilize" % window)
-
-
-def _poly_eval(coeffs, x):
-    acc = Fraction(0)
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc

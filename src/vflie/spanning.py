@@ -74,9 +74,6 @@ class GeneratorSet:
     def __iter__(self):
         return iter(self.exponents)
 
-    def to_list(self):
-        return [list(e) for e in self.exponents]
-
 
 def _slice_index(r: int):
     """The degree-r slice's row index {monomial: row}, monomials lex
@@ -249,14 +246,11 @@ def graded_basis_certificate(r: int, lam, mu, N, cutoff: int) -> dict:
     N = tuple(int(x) for x in N)
     if len(N) != r or any(x < 0 for x in N):
         raise ValueError("shift must be a nonnegative integer r-vector")
-    lam = tuple(Fraction(x) for x in lam)
-    mu = tuple(Fraction(x) for x in mu)
-    shifted = ModuleDescriptor(r, lam, tuple(m + s for m, s in zip(mu, N)))
+    desc = ModuleDescriptor(r, lam, mu)
+    shifted = ModuleDescriptor(r, desc.lam, tuple(m + s for m, s in zip(desc.mu, N)))
     weights, verdict = _slice_entries(shifted, None, cutoff, basis=True)
     return {
-        "r": r,
-        "lambda": [format_rat(x) for x in lam],
-        "mu": [format_rat(x) for x in mu],
+        **desc.to_dict(),
         "N": list(N),
         "cutoff": cutoff,
         "weights": weights,
@@ -400,9 +394,7 @@ def spanning_certificate(
     exponents = GeneratorSet(tuple(tuple(s) for s in S)).exponents
     weights, verdict = _slice_entries(desc, exponents, cutoff, d)
     return {
-        "r": r,
-        "lambda": [format_rat(Fraction(x)) for x in lam],
-        "mu": [format_rat(Fraction(x)) for x in mu],
+        **desc.to_dict(),
         "d": d,
         "generators": [list(e) for e in exponents],
         "cutoff": cutoff,

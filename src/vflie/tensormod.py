@@ -80,14 +80,6 @@ class ModuleDescriptor:
             "mu": [format_rat(x) for x in self.mu],
         }
 
-    @classmethod
-    def from_dict(cls, data):
-        return cls(
-            int(data["r"]),
-            tuple(Fraction(x) for x in data["lambda"]),
-            tuple(Fraction(x) for x in data["mu"]),
-        )
-
 
 class ModuleElement:
     """Finite linear combination of monomials z^abar in a fixed T^r."""

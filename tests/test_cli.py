@@ -162,6 +162,20 @@ def test_weight_dim_guard():
         assert time.perf_counter() - start < 0.25
 
 
+def test_weights_entry_count_guard():
+    # every interlacing pattern has C(n, 2) entries below its top row, so the
+    # walk costs about dim * n^2; past the limit (n >= 201) the input is
+    # refused before it, even for a one-dimensional module
+    for lam in ([0] * 3000, [1] + [0] * 1999):
+        start = time.perf_counter()
+        code, out, err = run_cli(["weights", "--lam", ",".join(map(str, lam))])
+        assert time.perf_counter() - start < 0.25
+        assert (code, out) == (2, ""), err
+        assert err.startswith("limit: n = %d: " % len(lam)) and "20000" in err, err
+    code, out, _ = run_cli(["weights", "--lam", ",".join(["0"] * 200)])
+    assert code == 0 and json.loads(out)["total_dim"] == 1
+
+
 def test_specht_subcommand(tmp_path):
     path = tmp_path / "gens.json"
     path.write_text(json.dumps([{"1,1": "1"}]))
@@ -399,3 +413,79 @@ def test_benchmark_golden_bytes(tmp_path, monkeypatch):
         code, out, _ = run_cli(entry["argv"])
         assert code == entry["exit"], entry["argv"]
         assert hashlib.sha256(out.encode()).hexdigest() == entry["sha256"], entry["argv"]
+
+
+# (argv, exit code, SHA-256 of stdout) of every subcommand in every --format
+# it offers; the specht generator files are written by the test
+FORMAT_BYTES = [
+    ("phi --r 2 --lam=1/2,0 --mu=1/3,-1 --format json", 0,
+     "69502ecdda4a38e6f4165d8d055b515d06bfb74f882120a0f86925e5b8a45eb8"),
+    ("phi --r 2 --lam=1/2,0 --mu=1/3,-1 --format text", 0,
+     "30ec52f65bd0b4609c5ffc3b4cf0547e1073abc5866133c68988de1453fc6c8c"),
+    ("shift --r 2 --lam=0,0 --mu=0,0 --cutoff 6 --format json", 0,
+     "f8be1ee7930a44e43db9852b6db387c647dedf0078a74321092d1557f7c26210"),
+    ("shift --r 2 --lam=0,0 --mu=0,0 --cutoff 6 --format text", 0,
+     "ea4ed9c360d9dde760f1d6a40c425173cb0c07c0ab6da762bd5bdd7c5c62608e"),
+    ("span --r 2 --lam=0,1/2 --mu=0,0 --cutoff 6 --format json", 0,
+     "7fab66b9431a2b98b7bc1ce9a52b2ecfac1b93a375d8f746dda07132d6a88c61"),
+    ("span --r 2 --lam=0,1/2 --mu=0,0 --cutoff 6 --format text", 0,
+     "86ee81dbad3706b24a4039a8cfb6ae80e15ee05bbd6237c289c93025218790fe"),
+    ("span --r 1 --lam=-3 --mu=0 --gen-cutoff 1 --cutoff 8 --format json", 1,
+     "e0eef867211dcde59bcbac0f27bd5479cbf9cfacdf30b70360bb16a904729297"),
+    ("span --r 1 --lam=-3 --mu=0 --gen-cutoff 1 --cutoff 8 --format text", 1,
+     "a388490c78e34aed31b4ac74e55a6c791e1f02c87b69b779c79164f2b4e2f3c6"),
+    ("hilbert --r 2 --lam=0,0 --mu=0,0 --cutoff 10 --format json", 0,
+     "3b50186ef483d4c7a69d252ae145191525722594cda3784126e4e61dab6e8cf1"),
+    ("hilbert --r 2 --lam=0,0 --mu=0,0 --cutoff 10 --format csv", 0,
+     "2d4611f698b9d800d2352bd4281aff22b59e867ce81f2187c0aa1cbb91496ecd"),
+    ("hilbert --r 2 --lam=0,0 --mu=0,0 --cutoff 10 --format text", 0,
+     "565e88bf6efda63a09669068039bf80071aed51e68235227817cbadad8bdbe5b"),
+    ("hilbert --r 1 --lam=0 --mu=0 --cutoff 3 --format json", 2,
+     "0237d6e4bfe4cc1067690c5953c3950a87d4fb4f280171d1b0f3d0ef4e6f6a36"),
+    ("hilbert --r 1 --lam=0 --mu=0 --cutoff 3 --format csv", 2,
+     "e477a6d6cece36eaed469a7358df7747d9fa0e73493ec8c1cb119e338780bfd5"),
+    ("hilbert --r 1 --lam=0 --mu=0 --cutoff 3 --format text", 2,
+     "bf308bfde149fb642ebc5406899e6dff9e64b3c40040268c3727473c52273fdf"),
+    ("homology --algebra L1:1 --lam=1 --mu=0 --p-max 2 --w-max 6 --format json", 0,
+     "a4006cbd3f8d7693c14d0ca10be025be82ec1c8134a1c4183ad6b2614116e780"),
+    ("homology --algebra L1:1 --lam=1 --mu=0 --p-max 2 --w-max 6 --format csv", 0,
+     "9ad35d91cf2464a6ae90749467cffd9a353578b9a1e482172877fc1e044c28e1"),
+    ("weights --lam=2,1,0 --format json", 0,
+     "e175cc04c97e402415460181e19d0d3ce10b8e912ab288f7254ce14514143fbb"),
+    ("weights --lam=2,1,0 --format csv", 0,
+     "18fb97041ca10f4b9024d0d53ab79d146ce5007fcc0e785b4bcc9d6729ce44be"),
+    ("weights --lam=2,1,0 --format text", 0,
+     "9704bca8f9abf5f856e974219536cc943cc7ad8d64b45ff5671ed32c670c5a53"),
+    ("specht --generators gens.json --cutoff 8 --format json", 0,
+     "9b639351bea17ac250917ed97d64f5fa2de441655808c7c9cc3d99a9093d21e8"),
+    ("specht --generators gens.json --cutoff 8 --format csv", 0,
+     "e55cd33c4222766a6235c5315d7eb4139b636b060b283755d8206396e2e2423c"),
+    ("specht --generators gens.json --cutoff 8 --format text", 0,
+     "b52046746d38614f9afff4015496235572c4e055961b7748e80ba431b3d689b7"),
+    ("specht --generators gens1.json --cutoff 3 --format json", 2,
+     "c4e5de80c5c13331ca9f6915dad4614be23cf1fe2b0e589848ee79de24955202"),
+    ("specht --generators gens1.json --cutoff 3 --format csv", 2,
+     "9372fad4e77f7571ce21f16e0ab0e07c3f8c20cf63c40e7779321139905c243f"),
+    ("specht --generators gens1.json --cutoff 3 --format text", 2,
+     "ac2eaa50698808c1e94ac641f27fa4d2f92fc09ad54d536cdad50a669c9b947f"),
+]
+
+
+def test_every_format_bytes(tmp_path, monkeypatch):
+    (tmp_path / "gens.json").write_text(json.dumps([{"1,1": "1"}, {"2,0": "1/2", "0,1": "-1"}]))
+    (tmp_path / "gens1.json").write_text(json.dumps([{"1,1": "1"}]))
+    monkeypatch.chdir(tmp_path)
+    for line, exit_code, sha in FORMAT_BYTES:
+        code, out, _ = run_cli(line.split())
+        assert (code, hashlib.sha256(out.encode()).hexdigest()) == (exit_code, sha), line
+    # the table covers exactly the formats each parser offers
+    (commands,) = [a for a in cli.build_parser()._actions if a.dest == "command"]
+    offered = {
+        (name, fmt)
+        for name, sub in commands.choices.items()
+        for action in sub._actions
+        if action.dest == "format"
+        for fmt in action.choices
+    }
+    covered = {(line.split()[0], line.split()[-1]) for line, _, _ in FORMAT_BYTES}
+    assert covered == offered

@@ -7,6 +7,8 @@ from math import comb
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vflie.exact import Echelon
 from vflie.pbw_hilbert import (
@@ -177,6 +179,29 @@ def test_partial_sum_window_too_small():
     series = RationalSeries([1], [1, -1])
     with pytest.raises(ValueError):
         partial_sum_polynomial(series, 3)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    st.lists(st.integers(-3, 3), min_size=1, max_size=5),
+    st.one_of(
+        st.integers(0, 3).map(lambda k: [comb(k, i) * (-1) ** i for i in range(k + 1)]),
+        st.lists(st.integers(-2, 2), max_size=3).map(lambda tail: [1] + tail),
+    ),
+    st.integers(0, 20),
+)
+def test_partial_sum_polynomial_fits_the_window_tail(num, den, window):
+    # the returned polynomial is the partial sum at every n from
+    # x0 = window - degree - 3 to the window
+    series = RationalSeries(num, den)
+    try:
+        coeffs, degree, lead = partial_sum_polynomial(series, window)
+    except ValueError:
+        return
+    sums = [sum(series.expand(n)) for n in range(window + 1)]
+    for n in range(window - degree - 3, window + 1):
+        assert sum(c * n**k for k, c in enumerate(coeffs)) == sums[n]
+    assert len(coeffs) == degree + 1 and coeffs[degree] * math.factorial(degree) == lead
 
 
 def _monomials(n, r):

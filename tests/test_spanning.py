@@ -211,13 +211,13 @@ def test_graded_basis_certificate_shape():
 
 def test_spanning_generators_rank_one():
     S = spanning_generators(1, (Fraction(0),), (Fraction(0),))
-    assert S.to_list() == [[0], [1]]
+    assert [list(e) for e in S] == [[0], [1]]
     assert spanning_certificate(S, 1, (Fraction(0),), (Fraction(0),), 12)["verdict"]
 
 
 def test_spanning_generators_rank_two_trivial():
     S = spanning_generators(2, (Fraction(0),) * 2, (Fraction(0),) * 2)
-    assert S.to_list() == [[0, 0], [0, 1], [1, 0], [1, 1], [1, 2]]
+    assert [list(e) for e in S] == [[0, 0], [0, 1], [1, 0], [1, 1], [1, 2]]
     assert spanning_certificate(S, 2, (Fraction(0),) * 2, (Fraction(0),) * 2, 10)["verdict"]
 
 
@@ -236,7 +236,7 @@ def test_spanning_random_parameters():
 
 def test_dilated_generators_rank_one():
     S = dilated_generators(1, (Fraction(0),), (Fraction(0),), 2)
-    assert S.to_list() == [[0], [1], [2]]
+    assert [list(e) for e in S] == [[0], [1], [2]]
     assert spanning_certificate(S, 1, (Fraction(0),), (Fraction(0),), 10, d=2)["verdict"]
 
 

@@ -184,8 +184,7 @@ def test_graded_dimension():
 
 def test_descriptor_serialization():
     desc = ModuleDescriptor(2, (Fraction(1, 2), Fraction(0)), (Fraction(-1), Fraction(3)))
-    back = ModuleDescriptor.from_dict(desc.to_dict())
-    assert back == desc
+    assert desc.to_dict() == {"r": 2, "lambda": ["1/2", "0"], "mu": ["-1", "3"]}
 
 
 def _weyl_dim(lam):
