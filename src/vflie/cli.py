@@ -194,9 +194,9 @@ def _dims_csv(dims) -> str:
 #
 # Each _cmd_* parses and checks its input and computes its result, then
 # returns (exit code, payload, views): the payload is the JSON object, and
-# views maps every other format the subcommand offers (and, for homology,
-# json too) to a zero-argument callable that renders it, so a run renders
-# only the format it prints.  main alone picks the format and writes it.
+# views maps every other format the subcommand offers to a zero-argument
+# callable that renders it, so a run renders only the format it prints.
+# main alone picks the format and writes it.
 
 
 def _cmd_phi(args):
@@ -305,11 +305,18 @@ def _cmd_homology(args):
     else:
         coeffs = hm.TrivialCoefficients()
     table = hm.homology_table(alg, coeffs, args.p_max, args.w_max, dim_limit=args.dim_limit)
-    views = {
-        "json": lambda: hm.table_to_json(alg, table, args.p_max, args.w_max),
-        "csv": lambda: hm.table_to_csv(table, args.p_max, args.w_max),
+    payload = {
+        "algebra": alg.label(),
+        "p_max": args.p_max,
+        "w_max": args.w_max,
+        "nonzero": [
+            {"p": p, "w": w, "dim": table[p, w]}
+            for p in range(args.p_max + 1)
+            for w in range(args.w_max + 1)
+            if table[p, w]
+        ],
     }
-    return EXIT_OK, None, views
+    return EXIT_OK, payload, {"csv": lambda: hm.table_to_csv(table, args.p_max, args.w_max)}
 
 
 def _cmd_weights(args):

@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -62,7 +61,6 @@ __all__ = [
     "homology_dim",
     "homology_table",
     "table_to_csv",
-    "table_to_json",
     "DEFAULT_DIM_LIMIT",
 ]
 
@@ -376,18 +374,3 @@ def table_to_csv(table, p_max: int, w_max: int) -> str:
         writer.writerow([str(p)] + [str(table[(p, w)]) for w in range(w_max + 1)])
     return buf.getvalue()
 
-
-def table_to_json(alg: AlgebraDescriptor, table, p_max: int, w_max: int) -> str:
-    entries = [
-        {"p": p, "w": w, "dim": table[(p, w)]}
-        for p in range(p_max + 1)
-        for w in range(w_max + 1)
-        if table[(p, w)]
-    ]
-    payload = {
-        "algebra": alg.label(),
-        "p_max": p_max,
-        "w_max": w_max,
-        "nonzero": entries,
-    }
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"

@@ -8,7 +8,9 @@ slice at a time: a word column that becomes linearly dependent on earlier
 columns yields the maximal-length part of its dependency as a homogeneous
 relation of the graded module.  A position-over-term Groebner basis of the
 relation module then turns standard-monomial counting into a closed-form
-Hilbert series with denominator dividing prod (1 - t^i).
+Hilbert series with denominator dividing prod (1 - t^i).  Its numerator and
+denominator are integer coefficient lists, multiplied, summed and divided by
+the toolkit in ``exact``.
 """
 
 from __future__ import annotations
@@ -20,7 +22,16 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, combinations
 
-from .exact import Echelon, _cross, _strip_gcd_pair, _to_int_vector, interpolate
+from .exact import (
+    Echelon,
+    _cross,
+    _poly_add,
+    _poly_mul,
+    _series_quotient,
+    _strip_gcd_pair,
+    _to_int_vector,
+    interpolate,
+)
 from .tensormod import ModuleDescriptor, word_vectors
 
 __all__ = [
@@ -281,45 +292,29 @@ class RationalSeries:
 
     def expand(self, upto: int):
         """Power-series coefficients h_0..h_upto, as ints."""
-        num, den = self.num, self.den
-        if not den or den[0] != 1:
+        if not self.den or self.den[0] != 1:
             raise ValueError("denominator must have constant term 1")
-        h = []
-        for k in range(upto + 1):
-            acc = num[k] if k < len(num) else 0
-            for j in range(1, min(k, len(den) - 1) + 1):
-                acc -= den[j] * h[k - j]
-            h.append(acc)
-        return h
+        return _series_quotient(self.num, self.den, upto + 1)
 
     def to_dict(self):
         return {"num": list(self.num), "den": list(self.den)}
 
 
 def one_minus_t_powers(weights):
-    """Ascending integer coefficients of prod_(w in weights) (1 - t^w)."""
+    """Ascending integer coefficients of prod_(w in weights) (1 - t^w), w >= 1."""
     out = [1]
     for w in weights:
-        nxt = out + [0] * w
-        for i, c in enumerate(out):
-            nxt[i + w] -= c
-        out = nxt
+        out = _poly_mul([1] + [0] * (w - 1) + [-1], out)
     return out
 
 
 def _divide(a, b):
     """The quotient a/b of integer coefficient lists, or None when b does not
-    divide a.  Needs b[0] == 1: the quotient is then read off from the bottom
-    up, with integer coefficients."""
-    work = list(a)
-    q = []
-    for k in range(len(a) - len(b) + 1):
-        c = work[k]
-        q.append(c)
-        if c:
-            for j, x in enumerate(b):
-                work[k + j] -= c * x
-    if any(work):
+    divide a.  Needs b[0] == 1 and a nonzero last coefficient of b: the
+    quotient's len(a) - len(b) + 1 power-series coefficients are integers,
+    and b divides a exactly when b times them gives back a."""
+    q = _series_quotient(a, b, len(a) - len(b) + 1)
+    if _poly_add(a, _poly_mul([-x for x in b], q)):
         return None
     return q or [0]
 
@@ -328,7 +323,7 @@ def _divide(a, b):
 def _cyclotomic(d):
     """The cyclotomic polynomial Phi_d signed to constant term 1, that is
     1 - t for d = 1: 1 - t^d divided by Phi_e for every proper divisor e."""
-    p = [1] + [0] * (d - 1) + [-1]
+    p = one_minus_t_powers([d])
     for e in range(1, d):
         if d % e == 0:
             p = _divide(p, _cyclotomic(e))
@@ -371,20 +366,10 @@ def _monomial_quotient_numerator(gens):
             return (1,)
         if all(e == 0 for e in gset[0]):
             return (0,)
-        pick = gset[-1]
-        rest = tuple(g for g in gset[:-1])
-        colon = _minimalize(
-            [tuple(max(a - b, 0) for a, b in zip(g, pick)) for g in rest]
-        )
-        base = rec(tuple(rest))
-        sub = rec(tuple(sorted(colon)))
-        shift = _wdeg(pick)
-        out = list(base) + [0] * max(0, shift + len(sub) - len(base))
-        for i, c in enumerate(sub):
-            out[shift + i] -= c
-        while out and out[-1] == 0:
-            out.pop()
-        return tuple(out)
+        pick, rest = gset[-1], tuple(gset[:-1])
+        colon = _minimalize([tuple(max(a - b, 0) for a, b in zip(g, pick)) for g in rest])
+        sub = rec(tuple(colon))  # _minimalize sorts
+        return tuple(_poly_add(rec(rest), [0] * _wdeg(pick) + [-c for c in sub]))
 
     return list(rec(tuple(sorted(gens))))
 
@@ -413,14 +398,9 @@ def hilbert_series(pres: PolyModulePresentation) -> RationalSeries:
         if vec:
             pos, expo = _lead(vec)
             lead_by_pos[pos].append(expo)
-    num = []
-    for j, gw in enumerate(gweights):
-        part = _monomial_quotient_numerator(lead_by_pos[j])
-        num += [0] * (gw + len(part) - len(num))
-        for i, c in enumerate(part):
-            num[gw + i] += c
-    while num and num[-1] == 0:
-        num.pop()
+    num = _poly_add(
+        *([0] * gw + _monomial_quotient_numerator(lead_by_pos[j]) for j, gw in enumerate(gweights))
+    )
     return RationalSeries(*_lowest_terms(num or [0], pres.r))
 
 

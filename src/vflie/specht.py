@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import itertools
 
-from .exact import Echelon, _to_int_vector
+from .exact import Echelon, _poly_add, _poly_mul, _to_int_vector
 from .pbw_hilbert import RationalSeries, one_minus_t_powers
 from .tensormod import _act_int
 
@@ -130,13 +130,11 @@ def tspace_series(ts: TSpace) -> dict:
         den = one_minus_t_powers(range(1, r + 1))
         if len(den) - 1 > cutoff - margin:
             break
-        num = _series_times_poly(dims, den, cutoff)
+        num = _poly_mul(den, dims)
         tail_start = cutoff - margin + 1
-        if any(num[tail_start:]):
+        if any(num[tail_start : cutoff + 1]):
             continue
-        del num[tail_start:]
-        while len(num) > 1 and num[-1] == 0:
-            num.pop()
+        num = _poly_add(num[:tail_start]) or [0]
         if RationalSeries(num, den).expand(cutoff) == dims:
             return {
                 "dims": dims,
@@ -147,16 +145,3 @@ def tspace_series(ts: TSpace) -> dict:
             }
     return {"dims": dims, "inconclusive": True}
 
-
-def _series_times_poly(series, poly, upto):
-    """Coefficients 0..upto of the product of an integer series and an
-    integer polynomial."""
-    out = [0] * (upto + 1)
-    for w in range(upto + 1):
-        total = 0
-        for j, c in enumerate(poly):
-            if j > w:
-                break
-            total += c * series[w - j]
-        out[w] = total
-    return out

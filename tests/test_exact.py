@@ -13,6 +13,8 @@ from vflie.exact import (
     PRIME,
     Echelon,
     SparseMat,
+    _poly_mul,
+    _series_quotient,
     format_rat,
     interpolate,
     parse_rat,
@@ -63,6 +65,53 @@ def test_echelon_rank_and_dependency():
     assert ech.rank == 2
 
 
+@st.composite
+def _tracked_families(draw):
+    """(family, probes): vectors over keys 0..5, all Fraction or all int, some
+    of them combinations of earlier ones, and probe vectors, some of them in
+    the family's span."""
+    entry = st.integers(-4, 4)
+    if draw(st.booleans()):
+        entry = st.builds(Fraction, entry, st.integers(1, 3))
+    vector = st.dictionaries(st.integers(0, 5), entry, max_size=6)
+    family = []
+    for _ in range(draw(st.integers(1, 7))):
+        if family and draw(st.booleans()):
+            coeffs = [draw(entry) for _ in family]
+            keys = set().union(*family)
+            vec = {k: sum(c * v.get(k, 0) for c, v in zip(coeffs, family)) for k in keys}
+            family.append({k: x for k, x in vec.items() if x})
+        else:
+            family.append(draw(vector))
+    probes = draw(st.lists(vector, max_size=3))
+    probes += [{k: 2 * x for k, x in v.items()} for v in family[: draw(st.integers(0, 2))]]
+    return family, probes
+
+
+def _rank(vectors):
+    return sympy.Matrix([[sympy.Rational(str(v.get(k, 0))) for k in range(6)] for v in vectors]).rank()
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_tracked_families())
+def test_tracked_echelon_on_random_families(case):
+    # every dependency sums to zero over the inserted vectors, the rank is
+    # sympy's, and reduce is empty exactly on the span
+    family, probes = case
+    ech = Echelon(track=True)
+    for index, vec in enumerate(family):
+        combo = ech.insert(vec)
+        if combo is None:
+            continue
+        assert combo[index] != 0 and all(type(c) is int for c in combo.values())
+        for k in range(6):
+            assert sum(c * family[i].get(k, 0) for i, c in combo.items()) == 0
+    rank = _rank(family)
+    assert ech.rank == rank
+    for vec in probes:
+        assert (ech.reduce(vec) == {}) == (_rank(family + [vec]) == rank)
+
+
 def test_echelon_reduce_membership():
     ech = Echelon()
     ech.insert({0: Fraction(1), 1: Fraction(1)})
@@ -84,6 +133,34 @@ def _sympy_matrix(m):
     return sympy.Matrix(m.rows, m.cols, lambda i, j: sympy.Rational(str(m[i, j])))
 
 
+_T = sympy.Symbol("t")
+_COEFFS = st.lists(st.integers(-9, 9), min_size=1, max_size=8)
+
+
+def _ascending(poly, n):
+    """The first n ascending coefficients of a sympy Poly in t."""
+    return (list(reversed(poly.all_coeffs())) + [0] * n)[:n]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_COEFFS, _COEFFS)
+def test_poly_mul_matches_sympy(a, b):
+    product = sympy.Poly(list(reversed(a)), _T) * sympy.Poly(list(reversed(b)), _T)
+    assert _poly_mul(a, b) == _ascending(product, len(a) + len(b) - 1)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_COEFFS, st.lists(st.integers(-9, 9), max_size=6), st.integers(1, 12))
+def test_series_quotient_matches_sympy(a, b_tail, n):
+    # the power series of a/b to n terms is a times the inverse of b mod t^n
+    b = [1] + b_tail
+    modulus = sympy.Poly(_T**n, _T)
+    inverse = sympy.Poly(list(reversed(b)), _T, domain="QQ").invert(modulus)
+    series = (sympy.Poly(list(reversed(a)), _T) * inverse).rem(modulus)
+    assert _series_quotient(a, b, n) == _ascending(series, n)
+    assert _series_quotient(a, b, 0) == []
+
+
 def test_rank_transpose_invariance():
     rng = random.Random(2024)
     for _ in range(30):
@@ -91,7 +168,7 @@ def test_rank_transpose_invariance():
         cols = rng.randint(1, 8)
         m = _random_sparse(rng, rows, cols)
         t = SparseMat(cols, rows, {(j, i): v for (i, j), v in m.entries.items()})
-        # the echelon ranks rows or columns, whichever are fewer
+        # rank ranks the columns, so this checks the rows' rank too
         assert m.rank() == t.rank() == _sympy_matrix(m).rank()
 
 

@@ -2,12 +2,13 @@
 
 import functools
 import itertools
+import json
 from fractions import Fraction
 
 import pytest
 import sympy
 
-from vflie import exact, homology
+from vflie import cli, exact, homology
 from vflie.homology import (
     ChainBasisElement,
     TensorCoefficients,
@@ -17,7 +18,6 @@ from vflie.homology import (
     homology_dim,
     homology_table,
     table_to_csv,
-    table_to_json,
 )
 from vflie.liealg import AlgebraDescriptor, basis_up_to_weight
 from vflie.spanning import ResourceLimitError
@@ -151,16 +151,22 @@ def test_coefficient_validation():
         chain_basis(lsum, coeffs, 1, 2)  # r = 1 but n = 2
 
 
-def test_csv_and_json_rendering():
+def test_csv_and_json_rendering(tmp_path):
     table = homology_table(L1, TRIV, 1, 3)
     csv_text = table_to_csv(table, 1, 3)
     lines = csv_text.strip().split("\n")
     assert lines[0] == "p\\w,0,1,2,3"
     assert lines[1] == "0,1,0,0,0"
     assert lines[2] == "1,0,1,1,0"
-    json_text = table_to_json(L1, table, 1, 3)
-    assert '"algebra": "L1:1"' in json_text
-    assert json_text.endswith("\n")
+    out = tmp_path / "table.json"
+    argv = ["homology", "--algebra", "L1:1", "--p-max", "1", "--w-max", "3", "--output", str(out)]
+    assert cli.main(argv) == 0
+    assert json.loads(out.read_text()) == {
+        "algebra": "L1:1",
+        "p_max": 1,
+        "w_max": 3,
+        "nonzero": [{"p": 0, "w": 0, "dim": 1}, {"p": 1, "w": 1, "dim": 1}, {"p": 1, "w": 2, "dim": 1}],
+    }
 
 
 L1_2 = AlgebraDescriptor(2, d=1, flavor="L")

@@ -10,11 +10,12 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vflie.exact import Echelon
+from vflie.exact import Echelon, _poly_mul
 from vflie.pbw_hilbert import (
     PolyModulePresentation,
     RationalSeries,
     _cyclotomic,
+    _divide,
     _lowest_terms,
     associated_graded_presentation,
     groebner_self_test,
@@ -111,12 +112,23 @@ def _ascending(expr):
     return list(reversed(sympy.Poly(expr, _T).all_coeffs()))
 
 
-def _times(a, b):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return out
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    st.lists(st.integers(-5, 5), max_size=4),
+    st.sampled_from((-3, -1, 1, 2)),
+    st.lists(st.integers(-5, 5), min_size=1, max_size=5),
+    st.booleans(),
+)
+def test_divide_matches_sympy_remainder(b_mid, b_last, q, exact):
+    # b has constant term 1 and a nonzero last coefficient; a is a random
+    # list or a multiple of b
+    b = [1] + b_mid + [b_last]
+    a = _poly_mul(q, b) if exact else q
+    quo, rem = sympy.Poly(list(reversed(a)), _T).div(sympy.Poly(list(reversed(b)), _T))
+    got = _divide(a, b)
+    assert (got is None) == (not rem.is_zero)
+    if got is not None:
+        assert sympy.Poly(list(reversed(got)), _T) == quo
 
 
 def test_cyclotomic_matches_sympy():
@@ -139,7 +151,7 @@ def test_lowest_terms_matches_sympy_cancel():
             num.append(rng.choice((-2, -1, 1, 3)))  # no trailing zero
             # cyclotomic factors, some of them in the denominator, some repeated
             for _ in range(rng.randint(0, 5)):
-                num = _times(num, _cyclotomic(rng.randint(1, 8)))
+                num = _poly_mul(num, _cyclotomic(rng.randint(1, 8)))
         den = sympy.Poly(sympy.prod([1 - _T**i for i in range(1, r + 1)]), _T)
         p, q = sympy.Poly(list(reversed(num)), _T).cancel(den, include=True)
         # scale sympy's pair so that the denominator has constant term 1
