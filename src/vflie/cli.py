@@ -49,6 +49,10 @@ EXIT_FALSE = 1
 EXIT_LIMIT = 2
 EXIT_USAGE = 64
 
+# pattern entries a `weights` walk may visit, dim V_lambda * C(n, 2); the
+# walk takes about 0.5 us an entry, so a budget of 2000000 allows about 1 s
+_WALK_ENTRY_BUDGET = 100 * hm.DEFAULT_DIM_LIMIT
+
 
 class _Parser(argparse.ArgumentParser):
     """argparse parser whose usage failures exit with code 64."""
@@ -152,17 +156,20 @@ def _check_weight_dim(lam):
     """Refuse, before the walk over its interlacing patterns, a dominant weight
     of n entries when C(n, 2), the pattern entries below the top row, or
     dim V_lam = prod_(i<j) (lam_i - lam_j + j - i)/(j - i) (Weyl), the pattern
-    count, exceeds the default dimension limit.  A weight that is not dominant
-    is left to weight_support, which refuses it as bad input.  Pairs with equal
-    entries have factor 1 and are skipped; every other factor of a dominant
-    weight is above 1, so the product stops as soon as it passes the limit."""
+    count, exceeds the default dimension limit, or when the walk's entry
+    count dim V_lam * C(n, 2) exceeds _WALK_ENTRY_BUDGET.  A weight that is
+    not dominant is left to weight_support, which refuses it as bad input.
+    Pairs with equal entries have factor 1 and are skipped; every other factor
+    of a dominant weight is above 1, so the product stops as soon as it passes
+    the limit."""
     if any(a < b for a, b in zip(lam, lam[1:])):
         return
     n = len(lam)
-    if comb(n, 2) > hm.DEFAULT_DIM_LIMIT:
+    entries = comb(n, 2)
+    if entries > hm.DEFAULT_DIM_LIMIT:
         raise ResourceLimitError(
             "n = %d: C(%d, 2) = %d pattern entries below the top row exceed the limit %d"
-            % (n, n, comb(n, 2), hm.DEFAULT_DIM_LIMIT)
+            % (n, n, entries, hm.DEFAULT_DIM_LIMIT)
         )
     neg = [-a for a in lam]  # ascending: bisect finds the end of each run
     num = den = 1
@@ -174,6 +181,13 @@ def _check_weight_dim(lam):
                     "weight %s: dim V_lambda exceeds the limit %d"
                     % (",".join(map(str, lam)), hm.DEFAULT_DIM_LIMIT)
                 )
+    dim = num // den
+    if dim * entries > _WALK_ENTRY_BUDGET:
+        raise ResourceLimitError(
+            "n = %d: dim V_lambda = %d patterns of C(%d, 2) = %d entries, %d in all, "
+            "exceed the walk budget %d"
+            % (n, dim, n, entries, dim * entries, _WALK_ENTRY_BUDGET)
+        )
 
 
 def _module(args) -> ModuleDescriptor:

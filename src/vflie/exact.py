@@ -249,7 +249,11 @@ def _strip_gcd_pair(v, combo):
 
 
 def rank_of_vectors(vectors) -> int:
-    """Rank of a family of sparse {key: Fraction} vectors."""
+    """Rank of a family of sparse {key: Fraction} vectors.
+
+    The rank is invariant under permuting the vectors (the columns) and
+    relabelling the keys (the rows); the work is not, since the insertion
+    order and the pivot order, largest key first, set the fill-in."""
     ech = Echelon()
     for v in vectors:
         ech.insert(v)
@@ -270,7 +274,9 @@ def rank_mod_p(vectors, p=PRIME, limit=None) -> int:
     lead.  The result is a lower bound for the rank over Q.  With a limit
     (an upper bound for the rank over Q, such as the dimension of the space)
     elimination stops once the rank reaches it, and a result equal to the
-    limit is then the exact rank over Q.
+    limit is then the exact rank over Q.  Like every rank, it is invariant
+    under permuting the vectors and relabelling the keys; only the fill-in
+    depends on their order.
     """
     vectors = [_to_int_vector(vec)[0] for vec in vectors]
     number = {k: i for i, k in enumerate(sorted({k for vec in vectors for k in vec}))}

@@ -176,6 +176,21 @@ def test_weights_entry_count_guard():
     assert code == 0 and json.loads(out)["total_dim"] == 1
 
 
+def test_weights_walk_budget():
+    # n <= 200 passes the entry limit, but the walk visits dim V_lambda *
+    # C(n, 2) entries: 19900 patterns of 19900 entries here
+    lam = [1, 1] + [0] * 198
+    start = time.perf_counter()
+    code, out, err = run_cli(["weights", "--lam", ",".join(map(str, lam))])
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, ""), err
+    assert err.startswith("limit: n = 200: ") and "19900" in err and "2000000" in err, err
+    # the budget is exact: 159 * C(159, 2) = 1997199 entries pass, 160 * C(160, 2) do not
+    cli._check_weight_dim((1,) + (0,) * 158)
+    with pytest.raises(spanning.ResourceLimitError):
+        cli._check_weight_dim((1,) + (0,) * 159)
+
+
 def test_specht_subcommand(tmp_path):
     path = tmp_path / "gens.json"
     path.write_text(json.dumps([{"1,1": "1"}]))

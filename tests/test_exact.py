@@ -21,6 +21,7 @@ from vflie.exact import (
     rank_mod_p,
     rank_of_vectors,
 )
+from vflie.homology import _fill_in_order
 
 
 def test_parse_format_roundtrip():
@@ -307,3 +308,24 @@ def test_rank_mod_p_scales_each_vector():
     vecs = [{0: Fraction(1, 3), 1: Fraction(2, 3)}, {0: 2, 1: 4}]
     assert rank_mod_p(vecs, 3) == 1 == rank_of_vectors(vecs)
     assert rank_mod_p([{0: 3, 1: 6}], 3) == 0  # a multiple of p vanishes
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_rank_invariant_under_column_order_and_key_relabelling(data):
+    # at most 6 vectors with entries in -3..3: every minor is below 7.35^6 by
+    # Hadamard's bound, far below PRIME, so the rank mod PRIME is the rank
+    # over Q and both kernels must agree on every order and labelling
+    nkeys = data.draw(st.integers(1, 6))
+    entries = st.integers(-3, 3).filter(bool)
+    family = data.draw(
+        st.lists(st.dictionaries(st.integers(0, nkeys - 1), entries), max_size=6)
+    )
+    order = data.draw(st.permutations(range(len(family))))
+    labels = data.draw(st.lists(st.integers(-50, 50), min_size=nkeys, max_size=nkeys, unique=True))
+    rank, rank3 = rank_of_vectors(family), rank_mod_p(family, 3)
+    reordered = [family[i] for i in order]
+    relabelled = [{labels[k]: c for k, c in vec.items()} for vec in reordered]
+    for variant in (family, reordered, relabelled, _fill_in_order(reordered)):
+        assert rank_of_vectors(variant) == rank_mod_p(variant) == rank
+        assert rank_mod_p(variant, 3) == rank3

@@ -176,6 +176,12 @@ LSUM2_TENSOR = TensorCoefficients(
     ModuleDescriptor(2, (Fraction(1, 2), Fraction(-1)), (Fraction(1, 3), Fraction(2)))
 )
 L1_TENSOR = TensorCoefficients(ModuleDescriptor(1, (Fraction(1, 2),), (Fraction(-1, 3),)))
+W2 = AlgebraDescriptor(2, d=0, flavor="W")
+L1_3 = AlgebraDescriptor(3, d=1, flavor="L")
+# equal pairs (lambda_i, mu_i): swapping the coordinates fixes the window
+LSUM2_EQUAL = TensorCoefficients(
+    ModuleDescriptor(2, (Fraction(1, 2), Fraction(1, 2)), (Fraction(1, 3), Fraction(1, 3)))
+)
 
 # (algebra, coefficients, p_max, w_max) windows for the certified table
 WINDOWS = (
@@ -185,6 +191,9 @@ WINDOWS = (
     (W1, TRIV, 3, 6),
     (LSUM2, LSUM2_TENSOR, 3, 6),
     (L1, L1_TENSOR, 3, 8),
+    (W2, TRIV, 3, 3),
+    (L1_3, TRIV, 2, 4),
+    (LSUM2, LSUM2_EQUAL, 3, 8),
 )
 
 
@@ -210,6 +219,39 @@ def test_certified_table_matches_exact_ranks(monkeypatch, prime):
         assert homology_table(alg, coeffs, p_max, w_max) == expected, alg.label()
     if prime == 3:
         assert len(fallbacks) > 20
+
+
+def _blocks_with_boundary(alg, coeffs, p_max, w_max):
+    """(p, w, t) for every block whose d_p has rows and columns, with p in
+    1..p_max + 1 as the table ranks them."""
+    cx = homology._Complex(alg, coeffs, homology._field_top(alg, p_max + 1, w_max))
+    out = []
+    for w in range(w_max + 1):
+        tori = [{cx.torus(key) for key in cx.chains(p, w)} for p in range(p_max + 2)]
+        out.extend((p, w, t) for p in range(1, p_max + 2) for t in tori[p] & tori[p - 1])
+    return out
+
+
+def test_mirror_blocks_share_ranks(monkeypatch):
+    # a coordinate swap maps block t onto block (t_1, t_0) with the same
+    # ranks, so only the block with t_0 <= t_1 is ranked; parameters that
+    # tell the coordinates apart leave every block to be ranked
+    calls = []
+    real = homology.rank_mod_p
+
+    def counting(vectors, **kwargs):
+        calls.append(len(vectors))
+        return real(vectors, **kwargs)
+
+    monkeypatch.setattr(homology, "rank_mod_p", counting)
+    blocks = _blocks_with_boundary(L1_2, TRIV, 3, 7)
+    homology_table(L1_2, TRIV, 3, 7)
+    assert len(calls) == sum(t[0] <= t[1] for _, _, t in blocks) < len(blocks) - 20
+    calls.clear()
+    blocks = _blocks_with_boundary(LSUM2, LSUM2_TENSOR, 3, 6)
+    homology_table(LSUM2, LSUM2_TENSOR, 3, 6)
+    assert len(calls) == len(blocks)
+    assert sum(t[0] > t[1] for _, _, t in blocks) > 10
 
 
 def test_boundary_preserves_torus_weight():
