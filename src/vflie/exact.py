@@ -326,15 +326,6 @@ class SparseMat:
             for (i, j), v in entries.items():
                 self[i, j] = v
 
-    def __getitem__(self, key):
-        i, j = key
-        if not (0 <= i < self.rows and 0 <= j < self.cols):
-            raise IndexError(key)
-        v = self.entries.get((i, j))
-        if v is None:
-            return Fraction(0)
-        return v
-
     def __setitem__(self, key, value):
         i, j = key
         if not (0 <= i < self.rows and 0 <= j < self.cols):

@@ -18,7 +18,7 @@ splits further into blocks, each its own subcomplex, and
 
 A window numbers its basis fields in sort order, so a chain is the integer
 key (increasing tuple of field numbers, module exponent).  Chains are
-enumerated, split and differentiated as keys; ``chain_basis`` decodes them.
+enumerated, split and differentiated as keys.
 
 A permutation s of the coordinates is an automorphism of W(n), L_d(n) and
 the coordinate sum, and of tensor coefficients on the latter when it fixes
@@ -59,10 +59,9 @@ import io
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 
 from ._enum import monomials_of_degree
-from .exact import SparseMat, rank_mod_p, rank_of_vectors
+from .exact import rank_mod_p, rank_of_vectors
 from .liealg import (
     FLAVOR_COORDINATE_SUM,
     AlgebraDescriptor,
@@ -76,10 +75,6 @@ from .tensormod import ModuleDescriptor
 __all__ = [
     "TrivialCoefficients",
     "TensorCoefficients",
-    "ChainBasisElement",
-    "chain_basis",
-    "boundary_matrix",
-    "homology_dim",
     "homology_table",
     "table_to_csv",
     "DEFAULT_DIM_LIMIT",
@@ -136,7 +131,7 @@ class TensorCoefficients:
     def basis_at_weight(self, w: int):
         if w < 0:
             return []
-        return [tuple(e) for e in monomials_of_degree(self.descriptor.r, w)]
+        return monomials_of_degree(self.descriptor.r, w)
 
     @property
     def scale(self) -> int:
@@ -160,14 +155,6 @@ class TensorCoefficients:
         """Torus weight of z^expo in Z^n: (|expo|,) under the diagonal
         one-variable action, expo under the coordinatewise one."""
         return (sum(expo),) if n == 1 else tuple(expo)
-
-
-@dataclass(frozen=True)
-class ChainBasisElement:
-    """x_1 ^ ... ^ x_p (x) z^expo with the wedge strictly increasing."""
-
-    wedge: tuple
-    expo: tuple
 
 
 class _Complex:
@@ -314,38 +301,6 @@ def _field_top(alg: AlgebraDescriptor, p: int, w: int) -> int:
     """Highest field weight in a chain of C_q(w), q <= p: w, plus p - 1 for
     W(n), whose weight -1 fields leave room for heavier ones."""
     return w + max(p - 1, 0) * max(-alg.min_weight, 0)
-
-
-def chain_basis(alg: AlgebraDescriptor, coeffs, p: int, w: int):
-    """Ordered basis of the weight-w slice of Lambda^p(g) (x) M."""
-    cx = _Complex(alg, coeffs, _field_top(alg, p, w))
-    return [
-        ChainBasisElement(tuple(cx.fields[i] for i in wedge), expo)
-        for wedge, expo in cx.chains(p, w)
-    ]
-
-
-def boundary_matrix(alg: AlgebraDescriptor, coeffs, p: int, w: int) -> SparseMat:
-    """Matrix of d_p on the weight-w slice: rows C_(p-1)(w), columns C_p(w)."""
-    cx = _Complex(alg, coeffs, _field_top(alg, p, w))
-    cols = cx.chains(p, w)
-    row_of = {key: i for i, key in enumerate(cx.chains(p - 1, w))}
-    mat = SparseMat(len(row_of), len(cols))
-    for j, key in enumerate(cols):
-        for i, c in cx.column(key, row_of).items():
-            mat.entries[i, j] = Fraction(c, cx.scale)
-    return mat
-
-
-def homology_dim(alg: AlgebraDescriptor, coeffs, p: int, w: int) -> int:
-    """dim H_p at weight w = dim C_p(w) - rank d_p - rank d_(p+1), by exact
-    ranks of the whole slice."""
-    cp = len(chain_basis(alg, coeffs, p, w))
-    if cp == 0:
-        return 0
-    r_p = boundary_matrix(alg, coeffs, p, w).rank() if p > 0 else 0
-    r_next = boundary_matrix(alg, coeffs, p + 1, w).rank()
-    return cp - r_p - r_next
 
 
 def homology_table(

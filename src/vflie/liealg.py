@@ -20,7 +20,6 @@ __all__ = [
     "coordinate_e",
     "bracket_basis",
     "basis_of_weight",
-    "basis_up_to_weight",
 ]
 
 
@@ -146,13 +145,5 @@ def basis_of_weight(alg: AlgebraDescriptor, w: int):
         for expo in monomials_of_degree(alg.n, w + 1):
             out.extend(VFBasis(tuple(expo), i) for i in range(alg.n))
     out.sort(key=VFBasis.sort_key)
-    return out
-
-
-def basis_up_to_weight(alg: AlgebraDescriptor, w_max: int):
-    """All basis fields of weight <= w_max, in weight-major order."""
-    out = []
-    for w in range(alg.min_weight, w_max + 1):
-        out.extend(basis_of_weight(alg, w))
     return out
 

@@ -245,19 +245,14 @@ def module_groebner(pres: PolyModulePresentation) -> PolyModulePresentation:
                 lcm = tuple(max(x, y) for x, y in zip(expo, bexpo))
                 heapq.heappush(queue, (weight(pos, lcm), 1, (m, len(basis))))
         basis.append((nf, (pos, expo)))
-    # minimal basis: drop anything whose leading term another element divides
-    minimal = []
-    for idx, (vec, (pos, expo)) in enumerate(basis):
-        dominated = False
-        for m, (_, (bpos, bexpo)) in enumerate(basis):
-            if m == idx or bpos != pos or not _divides(bexpo, expo):
-                continue
-            if _divides(expo, bexpo) and m > idx:
-                continue  # identical leading terms: keep the earlier one
-            dominated = True
-            break
-        if not dominated:
-            minimal.append((vec, (pos, expo)))
+    # minimal basis: each entry is a normal form against every earlier one,
+    # so no earlier leading term divides a later one; drop an entry whose
+    # leading term a later entry's divides
+    minimal = [
+        (vec, (pos, expo))
+        for idx, (vec, (pos, expo)) in enumerate(basis)
+        if not any(bpos == pos and _divides(bexpo, expo) for _, (bpos, bexpo) in basis[idx + 1 :])
+    ]
     minimal.sort(key=lambda entry: (entry[1][0], _wdeg(entry[1][1]), entry[1][1]))
     out = [
         _normalize(_reduce_vector(vec, minimal[:i] + minimal[i + 1 :]))

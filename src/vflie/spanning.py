@@ -31,7 +31,6 @@ __all__ = [
     "ResourceLimitError",
     "power_basis_matrix",
     "shift_determinant",
-    "shift_determinant_value",
     "graded_basis_certificate",
     "find_good_shift",
     "spanning_generators",
@@ -127,21 +126,6 @@ def power_basis_matrix(r: int) -> SparseMat:
 @lru_cache(maxsize=16)
 def _power_basis_det(r: int) -> Fraction:
     return power_basis_matrix(r).det()
-
-
-def shift_determinant_value(r: int, lam, mu) -> Fraction:
-    """The degree-r slice determinant at numeric parameters: determinant of
-    the endomorphism p_rho z^a -> e_1^(rho_1) ... e_r^(rho_r) z^a of the
-    degree-r slice, i.e. det(newton matrix) / det(power basis matrix), each
-    an echelon-step determinant (SparseMat.det).  It is the reference that
-    shift_determinant interpolates; the shift search asks only whether it
-    vanishes and answers that with the slice rank (_slice_rank)."""
-    if r == 0:
-        return Fraction(1)
-    row_of, cols = _slice_index(r)
-    desc = ModuleDescriptor(r, tuple(lam), tuple(mu))
-    degree = sum(sum(rho) for rho, _ in cols)
-    return _newton_data(desc, row_of, cols).det() / (desc.den**degree * _power_basis_det(r))
 
 
 def shift_determinant(r: int, lam, mu, max_r: int = MAX_INTERPOLATION_R) -> list:

@@ -63,24 +63,6 @@ class TSpace:
     def dimensions(self):
         return [self.dimension(w) for w in range(self.cutoff + 1)]
 
-    def contains(self, f) -> bool:
-        """Exact membership test of a {exponent tuple: coefficient} dict; f
-        is split into homogeneous components."""
-        for d, comp in _homogeneous_split(f).items():
-            if d > self.cutoff:
-                raise ValueError(
-                    "component of degree %d outside certified range" % d
-                )
-            basis = self.graded_basis.get(d, [])
-            if not basis:
-                return False
-            ech = Echelon()
-            for g in basis:
-                ech.insert(g)
-            if ech.reduce(comp):
-                return False
-        return True
-
 
 def closure_basis(generators, n: int, cutoff: int) -> TSpace:
     """Substitution closure of the given polynomials in n variables, each a

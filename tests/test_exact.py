@@ -131,7 +131,7 @@ def _random_sparse(rng, rows, cols, density=0.3):
 
 
 def _sympy_matrix(m):
-    return sympy.Matrix(m.rows, m.cols, lambda i, j: sympy.Rational(str(m[i, j])))
+    return sympy.Matrix(m.rows, m.cols, lambda i, j: sympy.Rational(str(m.entries.get((i, j), 0))))
 
 
 _T = sympy.Symbol("t")
@@ -184,7 +184,7 @@ def test_rank_nullity_and_kernel():
         for vec in ker:
             assert len(vec) == cols and all(type(c) is int for c in vec)
             for i in range(rows):
-                total = sum(m[i, j] * vec[j] for j in range(cols))
+                total = sum(m.entries.get((i, j), 0) * vec[j] for j in range(cols))
                 assert total == 0
 
 

@@ -91,6 +91,16 @@ def test_module_groebner_completes_a_gap():
     assert len(gb.relations) > 2
 
 
+def test_module_groebner_minimalization_drops_a_dominated_entry():
+    # g1^2 joins the basis first; g1^3 + g1 reduces to g1, which joins after
+    # it, and minimalization drops g1^2, whose leading term g1 divides
+    rel1 = {(0, (2,)): 1}                  # g1^2
+    rel2 = {(0, (3,)): 1, (0, (1,)): 1}    # g1^3 + g1
+    gb = module_groebner(PolyModulePresentation(1, (0,), [rel1, rel2]))
+    assert gb.relations == [{(0, (1,)): 1}]
+    assert hilbert_series(gb).to_dict() == {"num": [1], "den": [1]}
+
+
 def test_rational_series_expand():
     series = RationalSeries([0, 2], [1, -1])
     # 2t/(1-t) = 2t + 2t^2 + ...

@@ -8,6 +8,7 @@ from math import comb
 
 import pytest
 import sympy
+from _reference import shift_determinant_value
 from sympy.polys.matrices import DomainMatrix
 
 from vflie import exact, spanning
@@ -22,7 +23,6 @@ from vflie.spanning import (
     graded_basis_certificate,
     power_basis_matrix,
     shift_determinant,
-    shift_determinant_value,
     spanning_certificate,
     spanning_generators,
 )
@@ -178,7 +178,7 @@ def test_power_basis_matrix_matches_mpoly_products():
                 column = column * power[k] ** times
             terms = column.as_dict()
             for i, row in enumerate(rows):
-                assert m[i, j] == terms.get(row, 0)
+                assert m.entries.get((i, j), 0) == terms.get(row, 0)
         assert m.det() != 0
 
 
@@ -196,6 +196,42 @@ def test_find_good_shift_exhaustion():
     with pytest.raises(SearchExhaustedError) as info:
         find_good_shift(1, (Fraction(0),), (Fraction(0),), bound=0)
     assert info.value.report  # the failure report lists attempted shifts
+
+
+def _word_family_ranks(r, lam, mu, cutoff):
+    """(candidate count, sympy rank) per weight of the words
+    e_1^(b_1) ... e_r^(b_r) z^a, a_i < i, each taken one act_e at a time."""
+    desc = ModuleDescriptor(r, lam, mu)
+    out = []
+    for w in range(cutoff + 1):
+        vectors = []
+        for a in itertools.product(*(range(i + 1) for i in range(r))):
+            for b in itertools.product(range(w + 1), repeat=r):
+                if sum(a) + sum((i + 1) * x for i, x in enumerate(b)) != w:
+                    continue
+                vec = ModuleElement(desc, {a: 1})
+                for k in range(r, 0, -1):
+                    for _ in range(b[k - 1]):
+                        vec = act_e(k, vec)
+                vectors.append(vec.terms)
+        rows = sorted({e for v in vectors for e in v})
+        mat = sympy.Matrix(len(rows), len(vectors), lambda i, j: vectors[j].get(rows[i], 0))
+        out.append((len(vectors), mat.rank()))
+    return out
+
+
+def test_find_good_shift_greedy_phase():
+    # the rank-one determinant N + mu_1 + 2 lam_1 = N - 1 vanishes on the ray
+    # of both diagonal shifts within bound 1, (0, 0) at k = 1 and (1, 1) at
+    # k = 0, so the shift comes from the greedy increments
+    lam, mu = (Fraction(-1, 2), Fraction(1, 2)), (Fraction(0), Fraction(1))
+    assert shift_determinant(1, lam[:1], mu[:1]) == [-1, 1]
+    N, cert = find_good_shift(2, lam, mu, bound=1, cutoff=4)
+    assert N == (2, 0) and cert["N"] == [2, 0] and cert["verdict"]
+    shifted = tuple(m + n for m, n in zip(mu, N))
+    expected = [(w + 1, w + 1) for w in range(5)]  # dim T^2_w = w + 1
+    assert _word_family_ranks(2, lam, shifted, 4) == expected
+    assert [(e["candidates"], e["rank"]) for e in cert["weights"]] == expected
 
 
 def test_graded_basis_certificate_shape():
@@ -328,7 +364,7 @@ def test_shift_determinant_matches_symbolic_det():
         lam = tuple(_rand_rat(rng) for _ in range(r))
         mu = tuple(_rand_rat(rng) for _ in range(r))
         power = power_basis_matrix(r)
-        power = sympy.Matrix(power.rows, power.cols, lambda i, j: int(power[i, j]))
+        power = sympy.Matrix(power.rows, power.cols, lambda i, j: power.entries.get((i, j), 0))
         # sympy's determinant over the polynomial ring Q[N]
         newton = DomainMatrix.from_Matrix(_symbolic_newton_matrix(r, lam, mu, N))
         newton = newton.convert_to(sympy.QQ[N])
