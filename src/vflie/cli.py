@@ -310,14 +310,10 @@ def _cmd_hilbert(args):
 
 def _cmd_homology(args):
     alg = _parse_algebra(args.algebra)
-    if args.lam or args.mu:
-        lam = _rat_vector(args.lam)
-        mu = _rat_vector(args.mu)
-        if len(lam) != len(mu):
-            raise ValueError("lambda and mu must have the same length")
-        coeffs = hm.TensorCoefficients(ModuleDescriptor(len(lam), lam, mu))
-    else:
-        coeffs = hm.TrivialCoefficients()
+    lam, mu = _rat_vector(args.lam), _rat_vector(args.mu)
+    if len(lam) != len(mu):
+        raise ValueError("lambda and mu must have the same length")
+    coeffs = hm.TensorCoefficients(ModuleDescriptor(len(lam), lam, mu))
     table = hm.homology_table(alg, coeffs, args.p_max, args.w_max, dim_limit=args.dim_limit)
     payload = {
         "algebra": alg.label(),

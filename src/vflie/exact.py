@@ -172,22 +172,34 @@ class Echelon:
         index = self._count
         self._count += 1
         v, scale = _to_int_vector(vec)
-        combo = {index: scale} if self.track else None
+        v, combo, lead = self._reduce(v, {index: scale} if self.track else None)
+        if not v:
+            return combo if self.track else {}
+        _strip_gcd_pair(v, combo)
+        if v[lead] < 0:
+            for k in v:
+                v[k] = -v[k]
+            if combo is not None:
+                for k in combo:
+                    combo[k] = -combo[k]
+        self.pivots[lead] = v
+        if self.track:
+            self._combos[lead] = combo
+        return None
+
+    def reduce(self, vec):
+        """Reduce a vector against the pivots without inserting; returns the
+        integer residue (empty dict means the vector lies in the row space)."""
+        return self._reduce(_to_int_vector(vec)[0], None)[0]
+
+    def _reduce(self, v, combo):
+        """The one reduction loop: (v, combo, lead) once v is empty or its
+        leading key lead has no pivot row, combo following v if tracked."""
         while v:
             lead = max(v)
             row = self.pivots.get(lead)
             if row is None:
-                _strip_gcd_pair(v, combo)
-                if v[lead] < 0:
-                    for k in v:
-                        v[k] = -v[k]
-                    if combo is not None:
-                        for k in combo:
-                            combo[k] = -combo[k]
-                self.pivots[lead] = v
-                if self.track:
-                    self._combos[lead] = combo
-                return None
+                return v, combo, lead
             a, b = v[lead], row[lead]
             g = math.gcd(a, b)
             ca, cb = b // g, a // g
@@ -195,22 +207,7 @@ class Echelon:
             if combo is not None:
                 combo = _cross(combo, self._combos[lead], ca, cb)
             _strip_gcd_pair(v, combo)
-        return combo if self.track else {}
-
-    def reduce(self, vec):
-        """Reduce a vector against the pivots without inserting; returns the
-        integer residue (empty dict means the vector lies in the row space)."""
-        v, _ = _to_int_vector(vec)
-        while v:
-            lead = max(v)
-            row = self.pivots.get(lead)
-            if row is None:
-                return v
-            a, b = v[lead], row[lead]
-            g = math.gcd(a, b)
-            v = _cross(v, row, b // g, a // g)
-            _strip_gcd_pair(v, None)
-        return v
+        return v, combo, None
 
 
 def _cross(v, row, ca, cb):

@@ -10,9 +10,9 @@ Chains are C_p = Lambda^p(g) (x) M with the boundary
 Both terms preserve total weight (wedge weight plus module weight), so every
 homology space splits into finite-dimensional weight slices.  They also
 preserve the finer torus weight in Z^n: the sum of a - e_i over the wedge
-fields x^a d_i plus the module part (0 for trivial coefficients, |a| for
-tensor coefficients of L_d(1), a for coordinatewise ones).  So each slice
-splits further into blocks, each its own subcomplex, and
+fields x^a d_i plus, for each tensor factor, its exponent on the coordinate
+the factor sits on.  So each slice splits further into blocks, each its own
+subcomplex, and
 
   dim H_p(w) = sum over blocks t of dim C_p(t) - rank d_p(t) - rank d_(p+1)(t).
 
@@ -21,11 +21,12 @@ key (increasing tuple of field numbers, module exponent).  Chains are
 enumerated, split and differentiated as keys.
 
 A permutation s of the coordinates is an automorphism of W(n), L_d(n) and
-the coordinate sum, and of tensor coefficients on the latter when it fixes
-every pair (lambda_i, mu_i), because it permutes the tensor factors too.  It
-maps the chains of torus weight t onto those of weight s(t), each up to the
-sign of re-sorting its wedge, and commutes with d; so blocks t and s(t) have
-the same ranks, over Q and mod every prime.  Only the canonical block of each
+the coordinate sum, and of the coefficients when every coordinate goes to
+one whose factors carry the same pairs (lambda_j, mu_j), because it permutes
+the tensor factors too; trivial coefficients have no factors.  It maps the
+chains of torus weight t onto those of weight s(t), each up to the sign of
+re-sorting its wedge, and commutes with d; so blocks t and s(t) have the
+same ranks, over Q and mod every prime.  Only the canonical block of each
 orbit, t sorted within each class of exchangeable coordinates, is ranked,
 and the other blocks of its orbit share its ranks.
 
@@ -47,9 +48,13 @@ by their leading row (``_fill_in_order``): on the open blocks of L1:2
 p <= 4, w <= 8 that cuts the entries its row operations touch from
 10879916 to 3873543.  Mod p the same renumbering slowed the n = 1 windows.
 
-Supported coefficients: the trivial module for any flavor; tensor modules
-with the diagonal one-variable action for L_d(1), d >= 1; and tensor modules
-with the coordinatewise action for the coordinate-sum flavor.
+Coefficients are one class, the tensor module T^r (``TensorCoefficients``),
+whose r = 0 is the trivial module k and fits every flavor.  Factor j sits on
+coordinate j of the coordinate sum, which needs r = n, and on the only
+coordinate of L_d(1), d >= 1, where the one-variable algebra acts
+diagonally.  That placement gives the action, x_c^(k+1) d_c acting on the
+factors on coordinate c with the integers of ``tensormod._letter_constants``,
+the torus weight and the exchangeable coordinates.
 """
 
 from __future__ import annotations
@@ -70,10 +75,9 @@ from .liealg import (
     bracket_basis,
 )
 from .spanning import ResourceLimitError
-from .tensormod import ModuleDescriptor
+from .tensormod import ModuleDescriptor, _letter_constants
 
 __all__ = [
-    "TrivialCoefficients",
     "TensorCoefficients",
     "homology_table",
     "table_to_csv",
@@ -84,87 +88,61 @@ DEFAULT_DIM_LIMIT = 20000
 
 
 @dataclass(frozen=True)
-class TrivialCoefficients:
-    """The one-dimensional trivial module k, concentrated in weight 0."""
-
-    scale = 1
-
-    def validate(self, alg: AlgebraDescriptor):
-        return None
-
-    def basis_at_weight(self, w: int):
-        return [()] if w == 0 else []
-
-    def act_scaled(self, field: VFBasis, expo):
-        return {}
-
-    def torus_weight(self, n: int, expo):
-        return (0,) * n
-
-
-@dataclass(frozen=True)
 class TensorCoefficients:
-    """A tensor module as coefficients.
+    """The tensor module T^r_(lambda, mu) as coefficients; the default r = 0,
+    the empty tensor product, is the trivial module k.  Monomial basis
+    indexed by exponent vectors; module weight = total degree."""
 
-    For L_d(1) (d >= 1) the whole one-variable algebra acts diagonally; for
-    the coordinate-sum flavor each summand acts on its own tensor factor,
-    which requires one factor per coordinate (r = n).  Monomial basis indexed
-    by exponent vectors; module weight = total degree.
-    """
-
-    descriptor: ModuleDescriptor
+    descriptor: ModuleDescriptor = ModuleDescriptor(0, (), ())
 
     def validate(self, alg: AlgebraDescriptor):
-        if alg.flavor == FLAVOR_COORDINATE_SUM:
-            if self.descriptor.r != alg.n:
-                raise ValueError(
-                    "coordinatewise coefficients need one tensor factor per coordinate"
-                )
-            return None
-        if alg.n == 1 and alg.min_weight >= 1:
-            return None
-        raise ValueError(
-            "tensor coefficients support L_d(1) with d >= 1 or the "
-            "coordinate-sum flavor only"
-        )
+        r, coordinate_sum = self.descriptor.r, alg.flavor == FLAVOR_COORDINATE_SUM
+        if coordinate_sum and r not in (0, alg.n):
+            raise ValueError("coordinatewise coefficients need one tensor factor per coordinate")
+        if r and not coordinate_sum and (alg.n > 1 or alg.min_weight < 1):
+            raise ValueError(
+                "tensor coefficients support L_d(1) with d >= 1 or the coordinate-sum flavor only"
+            )
 
     def basis_at_weight(self, w: int):
-        if w < 0:
-            return []
-        return monomials_of_degree(self.descriptor.r, w)
+        return monomials_of_degree(self.descriptor.r, w) if w >= 0 else []
 
-    @property
-    def scale(self) -> int:
-        """Common denominator of the parameters: act_scaled is integral."""
-        return self.descriptor.den
+    def _coordinates(self, n: int):
+        """The coordinate each factor sits on: factor j on coordinate j of
+        the coordinate sum (r = n), every factor on the one of L_d(1)."""
+        return [j if n > 1 else 0 for j in range(self.descriptor.r)]
 
     def act_scaled(self, field: VFBasis, expo):
-        """scale times field . z^expo, as {exponent: int}: a one-variable
-        field e_k acts on every tensor factor, a coordinate field
-        x_i^(k+1) d_i on factor i only."""
-        desc = self.descriptor
+        """den times field . z^expo, as {exponent: int}: x_c^(k+1) d_c takes
+        z^expo to (den * a_j + base_j) z_j^k z^expo for each factor j on c,
+        with base_j = den * (mu_j + (k+1) lambda_j) from _letter_constants:
+        letter 1 of the k-dilated algebra is e_k."""
         k = field.weight
+        den, (base,) = _letter_constants(self.descriptor, 1, k)
         out = {}
-        for i in range(desc.r) if field.n == 1 else (field.direction,):
-            c = int(desc.den * (expo[i] + desc.mu[i] + (k + 1) * desc.lam[i]))
-            if c:
-                out[expo[:i] + (expo[i] + k,) + expo[i + 1 :]] = c
+        for j, c in enumerate(self._coordinates(field.n)):
+            f = den * expo[j] + base[j]
+            if f and c == field.direction:
+                out[expo[:j] + (expo[j] + k,) + expo[j + 1 :]] = f
         return out
 
     def torus_weight(self, n: int, expo):
-        """Torus weight of z^expo in Z^n: (|expo|,) under the diagonal
-        one-variable action, expo under the coordinatewise one."""
-        return (sum(expo),) if n == 1 else tuple(expo)
+        """Torus weight of z^expo in Z^n: each factor's exponent adds to its
+        coordinate."""
+        t = [0] * n
+        for j, c in enumerate(self._coordinates(n)):
+            t[c] += expo[j]
+        return tuple(t)
 
 
 class _Complex:
     """One window's chains as keys over the basis fields up to weight w_top;
     a boundary column is {row index: int}, scale times the exact column
-    (scale = the coefficients' common denominator)."""
+    (scale = the common denominator of the coefficients' parameters)."""
 
-    def __init__(self, alg: AlgebraDescriptor, coeffs, w_top: int):
+    def __init__(self, alg: AlgebraDescriptor, coeffs: TensorCoefficients, w_top: int):
         coeffs.validate(alg)
-        self.alg, self.coeffs, self.scale = alg, coeffs, coeffs.scale
+        self.alg, self.coeffs, self.scale = alg, coeffs, coeffs.descriptor.den
         self.fields, self.number, self.weights = [], {}, []
         self.top = alg.min_weight - 1
         self.grow(w_top)
@@ -280,20 +258,17 @@ class _Complex:
         return {row: c for row, c in out.items() if c}
 
 
-def _exchangeable(n: int, coeffs):
-    """Classes of at least two coordinates that permute freely: all n for
-    trivial coefficients, those with equal (lambda_i, mu_i) for tensor ones
-    (one factor per coordinate on the coordinate sum; on L_d(1), n = 1), and
-    none for any other coefficients."""
-    if isinstance(coeffs, TrivialCoefficients):
-        labels = [None] * n
-    elif isinstance(coeffs, TensorCoefficients):
-        labels = list(zip(coeffs.descriptor.lam, coeffs.descriptor.mu))[:n]
-    else:
-        return []
+def _exchangeable(n: int, coeffs: TensorCoefficients):
+    """Classes of at least two coordinates that permute freely: those whose
+    factors carry equal multisets of (lambda_j, mu_j).  With trivial
+    coefficients every multiset is empty, so all n coordinates form one."""
+    desc = coeffs.descriptor
+    labels = [[] for _ in range(n)]
+    for j, c in enumerate(coeffs._coordinates(n)):
+        labels[c].append((desc.lam[j], desc.mu[j]))
     classes = {}
     for i, label in enumerate(labels):
-        classes.setdefault(label, []).append(i)
+        classes.setdefault(tuple(sorted(label)), []).append(i)
     return [cls for cls in classes.values() if len(cls) > 1]
 
 

@@ -11,10 +11,6 @@ which raises weight by exactly k.  Monomials are indexed by their exponent
 vector abar; the ground monomial z^mubar d^(-lambdabar) is implicit.  The
 parameters may be arbitrary rationals.
 
-The coordinatewise action of the direct sum of one-variable algebras (one
-tensor factor each), which homology with tensor coefficients needs, is
-homology.TensorCoefficients.act_scaled, on integer vectors.
-
 Two representations of the action live here:
 
 * _act_int, den * e_k on integer vectors keyed by exponent tuple, is the
@@ -22,9 +18,11 @@ Two representations of the action live here:
   the parameters by their common denominator den: a word of length n
   yields den**n times its exact vector, which changes no rank, span or
   primitive relation.  spanning.power_basis_matrix multiplies by the power
-  sums p_k with it (den = 0, every base 1), and specht.closure_basis
+  sums p_k with it (den = 0, every base 1), specht.closure_basis
   applies the ladder operators D_k, which are e_k on T^n with
-  lambda = mu = 0 (den = 1, every base 0).
+  lambda = mu = 0 (den = 1, every base 0).  Homology's coefficient action
+  multiplies by the same integers, from _letter_constants, on the tensor
+  factors that sit on the acting field's coordinate.
 * ModuleElement, a {abar: Fraction} combination, with act_e, e_k on it over
   Q, is the independent reference that the kernel is checked against.
 """

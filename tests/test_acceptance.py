@@ -11,7 +11,7 @@ from math import comb, factorial
 import sympy
 from _reference import boundary_matrix, chain_list, field_pool, in_span
 
-from vflie.homology import TensorCoefficients, TrivialCoefficients, homology_table
+from vflie.homology import TensorCoefficients, homology_table
 from vflie.liealg import AlgebraDescriptor, bracket_basis
 from vflie.pbw_hilbert import (
     associated_graded_presentation,
@@ -192,7 +192,7 @@ def test_criterion_06_hilbert_series():
 def test_criterion_07_low_degree_homology_window():
     t0 = time.perf_counter()
     alg = AlgebraDescriptor(1, d=1, flavor="L")
-    triv = TrivialCoefficients()
+    triv = TensorCoefficients()
     for p in (1, 2):
         for w in range(0, 11):
             # d o d = 0, the product taken by sympy
@@ -209,7 +209,7 @@ def test_criterion_07_low_degree_homology_window():
 def test_criterion_08_homology_with_coefficients():
     t0 = time.perf_counter()
     cases = (
-        (AlgebraDescriptor(1, d=2, flavor="L"), TrivialCoefficients()),
+        (AlgebraDescriptor(1, d=2, flavor="L"), TensorCoefficients()),
         (
             AlgebraDescriptor(1, d=1, flavor="L"),
             TensorCoefficients(ModuleDescriptor(1, (Fraction(1),), (Fraction(0),))),

@@ -11,7 +11,6 @@ from _reference import boundary_matrix, chain_list, field_pool, homology_dim
 from vflie import cli, exact, homology
 from vflie.homology import (
     TensorCoefficients,
-    TrivialCoefficients,
     homology_table,
     table_to_csv,
 )
@@ -21,7 +20,7 @@ from vflie.tensormod import ModuleDescriptor
 
 L1 = AlgebraDescriptor(1, d=1, flavor="L")
 L2 = AlgebraDescriptor(1, d=2, flavor="L")
-TRIV = TrivialCoefficients()
+TRIV = TensorCoefficients()
 
 
 def _assert_zero(a, b):
@@ -133,13 +132,63 @@ def test_dim_limit_raises():
 
 
 def test_coefficient_validation():
-    coeffs = TensorCoefficients(ModuleDescriptor(1, (Fraction(0),), (Fraction(0),)))
-    full = AlgebraDescriptor(1, d=0, flavor="W")
-    with pytest.raises(ValueError):
-        homology_table(full, coeffs, 1, 2)
-    lsum = AlgebraDescriptor(2, d=1, flavor="Lsum")
-    with pytest.raises(ValueError):
-        homology_table(lsum, coeffs, 1, 2)  # r = 1 but n = 2
+    # r = 0, the empty tensor product, is the trivial module and fits every flavor
+    for alg in (W1, L1_2, LSUM2):
+        assert homology_table(alg, TRIV, 1, 2)[0, 0] == 1
+    one = TensorCoefficients(ModuleDescriptor(1, (Fraction(0),), (Fraction(0),)))
+    two = TensorCoefficients(
+        ModuleDescriptor(2, (Fraction(0), Fraction(0)), (Fraction(0), Fraction(0)))
+    )
+    for alg, coeffs in ((W1, one), (L1_2, one), (L1_2, two), (W2, two)):
+        with pytest.raises(ValueError, match="support L_d.1. with d >= 1"):
+            homology_table(alg, coeffs, 1, 2)
+    with pytest.raises(ValueError, match="one tensor factor per coordinate"):
+        homology_table(LSUM2, one, 1, 2)  # r = 1 but n = 2
+    for argv in (["W:1", "--lam=1", "--mu=0"], ["L1:2", "--lam=1", "--mu=0"]):
+        assert cli.main(["homology", "--algebra"] + argv) == 64
+    assert cli.main(["homology", "--algebra", "Lsum:2", "--lam=1", "--mu=0"]) == 64
+
+
+def test_coordinate_sum_of_one_matches_one_variable():
+    # Lsum:1 puts factor 0 on coordinate 0 by the coordinate-sum rule, L1:1 by
+    # the one-variable rule: the same algebra and action, so the same table
+    lsum1 = AlgebraDescriptor(1, d=1, flavor="Lsum")
+    table = homology_table(L1, L1_TENSOR, 3, 10)
+    assert homology_table(lsum1, L1_TENSOR, 3, 10) == table
+    assert sum(table.values()) > 0
+
+
+def _vey_dims(n, p_max):
+    """dim H^p(W_n), p <= p_max, from Vey's basis: 1 and the monomials u_I c_J,
+    I = (i_1 < ... < i_s) non-empty and J = (j_1 <= ... <= j_t) in 1..n, with
+    i_1 <= j_1, |J| = sum(J) <= n and i_1 + |J| > n, in degree
+    sum(2i - 1) + 2|J|."""
+    dims = [1] + [0] * p_max
+    for s in range(1, n + 1):
+        for i in itertools.combinations(range(1, n + 1), s):
+            for t in range(n + 1):
+                for j in itertools.combinations_with_replacement(range(1, n + 1), t):
+                    if (j and i[0] > j[0]) or sum(j) > n or i[0] + sum(j) <= n:
+                        continue
+                    degree = sum(2 * a - 1 for a in i) + 2 * sum(j)
+                    if degree <= p_max:
+                        dims[degree] += 1
+    return dims
+
+
+def test_gelfand_fuks_vey_basis():
+    # Gelfand-Fuks: H_*(W_n) lives in weight 0, where Vey's basis counts it
+    for alg, n, p_max in ((W1, 1, 4), (W2, 2, 10)):
+        table = homology_table(alg, TRIV, p_max, 0)
+        assert [table[p, 0] for p in range(p_max + 1)] == _vey_dims(n, p_max)
+
+
+def test_cartan_vanishing_w2():
+    # the Euler field x_1 d_1 + x_2 d_2 acts by w on weight w and, by Cartan's
+    # formula, by 0 on homology: H_p(W_2)(w) = 0 for every w != 0
+    table = homology_table(W2, TRIV, 3, 3)
+    assert table[0, 0] == 1
+    assert all(dim == 0 for (p, w), dim in table.items() if w >= 1)
 
 
 def test_csv_and_json_rendering(tmp_path):
