@@ -39,7 +39,7 @@ from .spanning import (
     spanning_generators,
 )
 from .specht import closure_basis, tspace_series
-from .tensormod import ModuleDescriptor, decompose_coinduced, graded_dimension, weight_support
+from .tensormod import ModuleDescriptor, decompose_coinduced, graded_dimension
 from . import homology as hm
 
 __all__ = ["main"]
@@ -333,13 +333,14 @@ def _cmd_weights(args):
     lam = _int_vector(args.lam)
     n = len(lam)
     _check_weight_dim(lam)
-    support = weight_support(lam, n)
     modules = decompose_coinduced(lam, n)
+    # module T_(alpha_1, 0) x ... x T_(alpha_n, 0) for each weight alpha
+    support = [(tuple(int(a) for a in d.lam), m) for d, m in modules]
     payload = {
         "lambda": list(lam),
         "n": n,
-        "weights": [{"alpha": list(wv.alpha), "mult": wv.multiplicity} for wv in support],
-        "total_dim": sum(wv.multiplicity for wv in support),
+        "weights": [{"alpha": list(alpha), "mult": m} for alpha, m in support],
+        "total_dim": sum(m for _, m in support),
         "modules": [
             {
                 "lambda": [format_rat(x) for x in d.lam],
@@ -351,10 +352,9 @@ def _cmd_weights(args):
     }
     views = {
         "csv": lambda: _lines(
-            ["alpha,mult"]
-            + ["%s,%d" % (" ".join(map(str, wv.alpha)), wv.multiplicity) for wv in support]
+            ["alpha,mult"] + ["%s,%d" % (" ".join(map(str, alpha)), m) for alpha, m in support]
         ),
-        "text": lambda: _lines(["%s  x%d" % (wv.alpha, wv.multiplicity) for wv in support]),
+        "text": lambda: _lines(["%s  x%d" % (alpha, m) for alpha, m in support]),
     }
     return EXIT_OK, payload, views
 

@@ -10,17 +10,12 @@ product, sum and series quotient of them goes through ``_poly_mul``,
 ``_poly_add`` and ``_series_quotient``.
 
 One modular kernel, ``rank_mod_p``, ranks integer vectors over GF(p).  For an
-integer matrix the rank mod p is at most the rank over Q, so callers use it
-only where that inequality proves the exact answer:
-
-1. full rank: a rank mod p equal to the number of vectors or to the
-   dimension of their space is the rank over Q;
-2. d o d = 0: in a chain complex rank d_p + rank d_(p+1) <= dim C_p, so a
-   mod-p rank that meets the bound dim C_p - (a neighbour's mod-p rank) is
-   exact; in particular, two neighbouring mod-p ranks that add up to
-   dim C_p are both exact.
-
-Every other rank falls back to exact elimination (``Echelon``), so every
+integer matrix the rank mod p is at most the rank over Q, so one rule makes
+it a proof: a mod-p rank that reaches a caller's upper bound for the rank
+over Q is exact.  ``rank_of_vectors(vectors, bound)`` applies that rule for
+every caller, with bounds such as the dimension of the space or, in a chain
+complex, dim C_(p-1) - rank d_(p-1) (d o d = 0), and falls back to exact
+elimination (``Echelon``) when the mod-p rank stays below it.  So every
 rank, kernel and determinant reported is exact.
 """
 
@@ -28,6 +23,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from collections import Counter
 from fractions import Fraction
 
 __all__ = [
@@ -245,16 +241,43 @@ def _strip_gcd_pair(v, combo):
     return g
 
 
-def rank_of_vectors(vectors) -> int:
-    """Rank of a family of sparse {key: Fraction} vectors.
+def rank_of_vectors(vectors, bound=None) -> int:
+    """Rank over Q of a family of sparse {key: Fraction or int} vectors.
+
+    With a bound, an upper bound for the rank over Q, the rank is first
+    taken mod p up to min(bound, number of vectors); if it reaches that
+    limit it is the rank over Q.  Otherwise the family goes to exact
+    elimination in ``_fill_in_order``.  Without a bound the vectors are
+    eliminated exactly, in the given order, with no mod-p step.
 
     The rank is invariant under permuting the vectors (the columns) and
     relabelling the keys (the rows); the work is not, since the insertion
     order and the pivot order, largest key first, set the fill-in."""
+    if bound is not None:
+        limit = min(bound, len(vectors))
+        if rank_mod_p(vectors, limit=limit) == limit:
+            return limit
+        vectors = _fill_in_order(vectors)
     ech = Echelon()
     for v in vectors:
         ech.insert(v)
     return ech.rank
+
+
+def _fill_in_order(family):
+    """The family with its row keys renumbered by (-occurrences, key), so the
+    sparsest rows get the largest keys and are pivoted on first, and its
+    vectors sorted by their largest new key: a vector whose leading key no
+    earlier vector has becomes a pivot row with no reduction.
+
+    On the homology blocks whose mod-p rank stays below its bound, L1:2
+    p <= 4, w <= 8, this order cut the entries the exact row operations
+    touch from 10879916 to 3873543.  Mod p the same renumbering slowed the
+    n = 1 windows, so ``rank_mod_p`` keeps the caller's order."""
+    count = Counter(k for vec in family for k in vec)
+    number = {k: i for i, k in enumerate(sorted(count, key=lambda k: (-count[k], k)))}
+    family = [{number[k]: c for k, c in vec.items()} for vec in family]
+    return sorted(family, key=lambda vec: max(vec, default=-1))
 
 
 # the largest prime below 2**30: residues and their products stay small ints
@@ -268,10 +291,9 @@ def rank_mod_p(vectors, p=PRIME, limit=None) -> int:
     scalar changes no rank).  Keys are numbered in sorted order and each
     vector is reduced from its largest key down, against pivot rows
     normalized to a leading 1; entries are reduced mod p only when they
-    lead.  The result is a lower bound for the rank over Q.  With a limit
-    (an upper bound for the rank over Q, such as the dimension of the space)
-    elimination stops once the rank reaches it, and a result equal to the
-    limit is then the exact rank over Q.  Like every rank, it is invariant
+    lead.  The result is a lower bound for the rank over Q; with a limit,
+    elimination stops once the rank reaches it (``rank_of_vectors`` says
+    when that proves the rank over Q).  Like every rank, it is invariant
     under permuting the vectors and relabelling the keys; only the fill-in
     depends on their order.
     """

@@ -30,23 +30,16 @@ same ranks, over Q and mod every prime.  Only the canonical block of each
 orbit, t sorted within each class of exchangeable coordinates, is ranked,
 and the other blocks of its orbit share its ranks.
 
-Block ranks are taken mod p first (``exact.rank_mod_p``, a lower bound).
-Because d o d = 0, rank d_p(t) <= dim C_(p-1)(t) - rank d_(p-1)(t) and
-rank d_p(t) <= dim C_p(t) - rank d_(p+1)(t); a mod-p rank that meets the
-upper bound these give with its neighbours' mod-p ranks is exact.  Only the
-blocks where the bound stays open are ranked by exact elimination, so every
-table entry is exact.
+Each canonical block is ranked once, going up in p, by
+``exact.rank_of_vectors`` with the bound that d o d = 0 gives:
+rank d_p(t) <= dim C_(p-1)(t) - rank d_(p-1)(t), the rank below being
+already exact.  A mod-p rank that reaches it is exact; any other block is
+ranked by exact elimination, so every table entry is exact.
 
-Both eliminations pivot on the largest row key, so the orders of rows and
-columns set the fill-in, though never the rank.  Mod p the columns go in
-chain order: sparsest-column-first multiplied the row-operation entries
-(over all blocks of L1:1 p <= 4, w <= 40: 1210574 against 211675; L2:1,
-same window: 494917 against 145534; L1:2 p <= 3, w <= 8: 659184 against
-579067, and 331429 once mirror blocks are skipped).  The exact fallback
-renumbers rows so that the sparsest are pivoted first and inserts columns
-by their leading row (``_fill_in_order``): on the open blocks of L1:2
-p <= 4, w <= 8 that cuts the entries its row operations touch from
-10879916 to 3873543.  Mod p the same renumbering slowed the n = 1 windows.
+Mod p the columns go in chain order: sparsest-column-first multiplied the
+row-operation entries (over all blocks of L1:1 p <= 4, w <= 40: 1210574
+against 211675; L2:1, same window: 494917 against 145534; L1:2 p <= 3,
+w <= 8: 659184 against 579067, and 331429 once mirror blocks are skipped).
 
 Coefficients are one class, the tensor module T^r (``TensorCoefficients``),
 whose r = 0 is the trivial module k and fits every flavor.  Factor j sits on
@@ -62,11 +55,10 @@ from __future__ import annotations
 import csv
 import io
 from bisect import bisect_left, bisect_right
-from collections import Counter
 from dataclasses import dataclass
 
 from ._enum import monomials_of_degree
-from .exact import rank_mod_p, rank_of_vectors
+from .exact import rank_of_vectors
 from .liealg import (
     FLAVOR_COORDINATE_SUM,
     AlgebraDescriptor,
@@ -316,35 +308,24 @@ def _weight_table(cx: _Complex, p_max: int, w: int, dim_limit: int):
             split.setdefault(cx.torus(key), []).append(key)
         blocks.append(split)
 
-    def dim(p, t):
-        return len(blocks[p].get(t, ())) if p < len(blocks) else 0
-
     def rank(p, t):
         return ranks.get((p, t), 0)
 
     # d_p on block t maps the columns C_p(t) to the rows C_(p-1)(t).  A
     # coordinate permutation s that fixes the window maps block t onto block
     # s(t) and commutes with d up to sign, so only canonical blocks are
-    # ranked and the rest of each orbit reads their ranks.  Mod-p ranks go
-    # up in p, each stopping at the bound the rank below gives; a rank that
-    # reaches its bound is exact.  The columns keep chain order, in which
-    # the mod-p pivots fill in least (see the module docstring).
+    # ranked and the rest of each orbit reads their ranks.  The columns keep
+    # chain order, in which the mod-p pivots fill in least (see the module
+    # docstring).
     canonical = {t: cx.canonical(t) for split in blocks for t in split}
-    families, ranks = {}, {}
+    ranks = {}
     for p in range(1, p_max + 2):
         for t, cols in blocks[p].items():
             rows = blocks[p - 1].get(t)
             if rows and canonical[t] == t:
                 row_of = {key: i for i, key in enumerate(rows)}
                 family = [cx.column(key, row_of) for key in cols]
-                families[p, t] = family
-                ranks[p, t] = rank_mod_p(family, limit=min(len(rows) - rank(p - 1, t), len(cols)))
-    open_blocks = [
-        (p, t)
-        for (p, t) in families
-        if rank(p, t) < min(dim(p - 1, t) - rank(p - 1, t), dim(p, t) - rank(p + 1, t))
-    ]
-    ranks.update((b, rank_of_vectors(_fill_in_order(families[b]))) for b in open_blocks)
+                ranks[p, t] = rank_of_vectors(family, bound=len(rows) - rank(p - 1, t))
     return {
         (p, w): sum(
             len(chains) - rank(p, canonical[t]) - rank(p + 1, canonical[t])
@@ -352,17 +333,6 @@ def _weight_table(cx: _Complex, p_max: int, w: int, dim_limit: int):
         )
         for p in range(p_max + 1)
     }
-
-
-def _fill_in_order(family):
-    """The family with its row keys renumbered by (-occurrences, key), so the
-    sparsest rows get the largest keys and are pivoted on first, and its
-    vectors sorted by their largest new key: a vector whose leading key no
-    earlier vector has becomes a pivot row with no reduction."""
-    count = Counter(k for vec in family for k in vec)
-    number = {k: i for i, k in enumerate(sorted(count, key=lambda k: (-count[k], k)))}
-    family = [{number[k]: c for k, c in vec.items()} for vec in family]
-    return sorted(family, key=lambda vec: max(vec, default=-1))
 
 
 def table_to_csv(table, p_max: int, w_max: int) -> str:

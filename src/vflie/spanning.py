@@ -1,10 +1,10 @@
 """Spanning sets and graded-basis certificates for tensor modules.
 
-The degree-r slice of T^r carries two distinguished families: the monomials
-z^b, and the vectors obtained by applying left-normalized words
+The degree-r slice of T^r carries two distinguished sets of vectors: the
+monomials z^b, and the vectors obtained by applying left-normalized words
 e_1^(rho_1) ... e_r^(rho_r) to tail monomials z^a with a_i < i.  Because the
 polynomial ring in r variables is a free module over the symmetric functions
-with basis {z^a : a_i < i}, the two families have equal cardinality in every
+with basis {z^a : a_i < i}, the two sets have equal cardinality in every
 degree; whether the word family is a basis is controlled by a determinant
 that is monic in a diagonal shift N of the mu parameters.
 
@@ -22,7 +22,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from ._enum import bounded_tails, monomials_of_degree, weighted_vectors
-from .exact import SparseMat, format_rat, interpolate, rank_mod_p, rank_of_vectors
+from .exact import SparseMat, format_rat, interpolate, rank_of_vectors
 from .tensormod import ModuleDescriptor, _act_int, graded_dimension, word_vectors
 
 __all__ = [
@@ -103,7 +103,6 @@ def _newton_data(desc, row_of, cols):
     return mat
 
 
-@lru_cache(maxsize=16)
 def power_basis_matrix(r: int) -> SparseMat:
     """Expansion of the products p_rho z^a over the degree-r monomials,
     same row/column ordering as _newton_data.  Always nonsingular: the
@@ -185,9 +184,8 @@ def shift_determinant(r: int, lam, mu, max_r: int = MAX_INTERPOLATION_R) -> list
 def _slice_rank(desc, sources, w, d=1):
     """(dimension, candidate count, rank over Q) of the word family on the
     sources (a tuple of exponent tuples; None: the tail monomials) at weight
-    w.  Sparse vectors are eliminated first.  A rank mod p equal to the
-    slice dimension proves full rank over Q; any other slice is ranked
-    exactly, so the rank is always the rank over Q.  Memoised: the shift
+    w.  Sparse vectors go first, the order in which the mod-p step fills in
+    least; the slice dimension bounds the rank.  Memoised: the shift
     searches of spanning_generators ask for the same slices again."""
     dim = graded_dimension(desc, w)
     vectors = word_vectors(desc, sources, w, d)
@@ -196,10 +194,7 @@ def _slice_rank(desc, sources, w, d=1):
         for _, terms in sorted(vectors, key=lambda lv: (len(lv[1]), lv[0]))
         if terms
     ]
-    rank = rank_mod_p(family, limit=dim)
-    if rank != dim:
-        rank = rank_of_vectors(family)
-    return dim, len(vectors), rank
+    return dim, len(vectors), rank_of_vectors(family, bound=dim)
 
 
 def _slice_entries(desc, sources, cutoff, d=1, basis=False):
@@ -282,32 +277,34 @@ def find_good_shift(
     Raises SearchExhaustedError with the blocking report when the budget runs
     out.
     """
-    window = cutoff
     failures = []
-    for t in range(bound + 1):
-        N = (t,) * r
-        obstruction = _ray_obstruction(r, lam, mu, N, window)
+
+    def attempt(N):
+        """The certificate that proves N, or None once N's failure is recorded."""
+        obstruction = _ray_obstruction(r, lam, mu, N, cutoff)
         if obstruction is not None:
             failures.append({"N": list(N), "vanishing": obstruction})
-            continue
+            return None
         cert = graded_basis_certificate(r, lam, mu, N, cutoff)
         if cert["verdict"]:
-            return N, cert
+            return cert
         failures.append({"N": list(N), "vanishing": None, "rank_failure": True})
+        return None
+
+    for t in range(bound + 1):
+        cert = attempt((t,) * r)
+        if cert:
+            return (t,) * r, cert
     N = [0] * r
-    budget = bound * r + r
-    for _ in range(budget):
-        obstruction = _ray_obstruction(r, lam, mu, tuple(N), window)
-        if obstruction is None:
-            cert = graded_basis_certificate(r, lam, mu, tuple(N), cutoff)
-            if cert["verdict"]:
-                return tuple(N), cert
-            failures.append({"N": list(N), "vanishing": None, "rank_failure": True})
-            i = min(range(r), key=lambda j: N[j])
-            N[i] += 1
+    for _ in range(bound * r + r):
+        cert = attempt(tuple(N))
+        if cert:
+            return tuple(N), cert
+        vanishing = failures[-1]["vanishing"]
+        if vanishing is None:
+            N[min(range(r), key=lambda j: N[j])] += 1
         else:
-            failures.append({"N": list(N), "vanishing": obstruction})
-            N[obstruction["s"] - 1] += 1
+            N[vanishing["s"] - 1] += 1
         if max(N) > 2 * bound:
             break
     raise SearchExhaustedError(

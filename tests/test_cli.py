@@ -13,7 +13,7 @@ import time
 
 import pytest
 
-from vflie import cli, spanning
+from vflie import cli, spanning, tensormod
 from vflie.cli import main
 
 
@@ -114,6 +114,24 @@ def test_weights_json():
     payload = json.loads(out)
     assert payload["total_dim"] == 2
     assert {"alpha": [2, 1], "mult": 1} in payload["weights"]
+
+
+def test_weights_walks_the_patterns_once(monkeypatch):
+    # the weights and the modules of every format come from one walk
+    real = tensormod.weight_support
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(tensormod, "weight_support", counting)
+    monkeypatch.setattr(cli, "weight_support", counting, raising=False)
+    for fmt in ("json", "csv", "text"):
+        calls.clear()
+        code, out, _ = run_cli(["weights", "--lam", "2,1,0", "--format", fmt])
+        assert code == 0 and out
+        assert len(calls) == 1, fmt
 
 
 def test_weights_long_inputs():

@@ -1,5 +1,6 @@
 """Exact arithmetic layer: interpolation, echelon forms, sparse matrices."""
 
+import functools
 import itertools
 import random
 from fractions import Fraction
@@ -9,10 +10,12 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vflie import exact
 from vflie.exact import (
     PRIME,
     Echelon,
     SparseMat,
+    _fill_in_order,
     _poly_mul,
     _series_quotient,
     format_rat,
@@ -21,7 +24,6 @@ from vflie.exact import (
     rank_mod_p,
     rank_of_vectors,
 )
-from vflie.homology import _fill_in_order
 
 
 def test_parse_format_roundtrip():
@@ -284,22 +286,30 @@ def _random_sparse_family(rng, rational):
     return vecs
 
 
-def test_rank_mod_p_bounds_exact_rank():
+def test_rank_mod_p_bounds_exact_rank(monkeypatch):
     rng = random.Random(2024)
     fired = dropped = 0
+    real = exact.rank_mod_p
     for trial in range(400):
         vecs = _random_sparse_family(rng, rational=trial % 2 == 1)
-        exact = rank_of_vectors(vecs)
+        rank = rank_of_vectors(vecs)
         full = min(len(vecs), len({k for v in vecs for k in v}))
         for p in (3, PRIME):
             r = rank_mod_p(vecs, p)
-            assert r <= exact
+            assert r <= rank
             if r == full:  # the full-rank rule proves the rank over Q
-                assert r == exact
+                assert r == rank
                 fired += 1
-            dropped += r < exact
+            dropped += r < rank
             for limit in range(full + 1):
                 assert rank_mod_p(vecs, p, limit=limit) == min(limit, r)
+            # any upper bound gives the rank over Q, whether or not the
+            # mod-p rank reaches it
+            monkeypatch.setattr(exact, "rank_mod_p", functools.partial(real, p=p))
+            for bound in range(rank, len(vecs) + 2):
+                assert rank_of_vectors(vecs, bound=bound) == rank
+        monkeypatch.setattr(exact, "rank_mod_p", None)  # no bound: no mod-p step
+        assert rank_of_vectors(vecs) == rank
     assert fired > 200 and dropped > 10  # both outcomes are exercised
 
 

@@ -182,6 +182,14 @@ def test_power_basis_matrix_matches_mpoly_products():
         assert m.det() != 0
 
 
+def test_power_basis_matrix_is_not_shared():
+    # every call builds a fresh matrix: clearing one leaves the power-basis
+    # determinant that shift_determinant divides by, here of N^3 (N + 1)
+    spanning._power_basis_det.cache_clear()
+    power_basis_matrix(2).entries.clear()
+    assert shift_determinant(2, (0, 0), (0, 0)) == [0, 0, 0, 1, 1]
+
+
 def test_find_good_shift_small_cases():
     assert find_good_shift(1, (Fraction(0),), (Fraction(0),))[0] == (1,)
     assert find_good_shift(1, (Fraction(1),), (Fraction(0),))[0] == (0,)
@@ -314,17 +322,20 @@ def _certificates():
 
 def test_certificates_match_exact_ranks(monkeypatch):
     fallbacks = []
-    real = spanning.rank_of_vectors
-    monkeypatch.setattr(
-        spanning, "rank_of_vectors", lambda vectors: fallbacks.append(1) or real(vectors)
-    )
-    monkeypatch.setattr(spanning, "rank_mod_p", lambda vectors, limit=None: -1)
+    real_echelon, real_mod_p = exact.Echelon, exact.rank_mod_p
+
+    def counting(*args, **kwargs):
+        fallbacks.append(1)
+        return real_echelon(*args, **kwargs)
+
+    monkeypatch.setattr(exact, "Echelon", counting)
+    monkeypatch.setattr(exact, "rank_mod_p", lambda vectors, limit=None: -1)
     exact_only = _certificates()  # every slice ranked by exact elimination
     assert {c["verdict"] for c in exact_only} == {True, False}
     counts = []
     for prime in (exact.PRIME, 3):
         fallbacks.clear()
-        monkeypatch.setattr(spanning, "rank_mod_p", functools.partial(exact.rank_mod_p, p=prime))
+        monkeypatch.setattr(exact, "rank_mod_p", functools.partial(real_mod_p, p=prime))
         assert _certificates() == exact_only
         counts.append(len(fallbacks))
     # mod 3 some full-rank slices drop, and the exact fallback carries them
