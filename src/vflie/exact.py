@@ -3,11 +3,12 @@ sparse linear algebra.
 
 Everything here computes over Q with arbitrary-precision integers, with no
 floating point.  Rational scalars are stdlib ``fractions.Fraction``;
-elimination clears denominators and runs fraction-free over the integers with
-gcd normalization to control coefficient growth.  Univariate polynomials and
-truncated power series are ascending integer coefficient lists, and every
-product, sum and series quotient of them goes through ``_poly_mul``,
-``_poly_add`` and ``_series_quotient``.
+elimination clears denominators and runs fraction-free over the integers:
+one reduction loop, ``Echelon._reduce``, on one step, ``_eliminate``, with
+content stripped once per reduced vector to control coefficient growth.
+Univariate polynomials and truncated power series are ascending integer
+coefficient lists, and every product, sum and series quotient of them goes
+through ``_poly_mul``, ``_poly_add`` and ``_series_quotient``.
 
 One modular kernel, ``rank_mod_p``, ranks integer vectors over GF(p).  For an
 integer matrix the rank mod p is at most the rank over Q, so one rule makes
@@ -141,8 +142,9 @@ class Echelon:
 
     Vectors are sparse ``{key: value}`` dicts with mutually comparable keys.
     ``insert`` reduces the vector against the stored pivot rows (pivot = the
-    maximal key) by integer cross-multiplication with gcd stripping, then
-    either records a new pivot row (independent) or reports the dependency.
+    maximal key) by integer cross-multiplication, then either records a new
+    pivot row, stripped of its content with a positive leading entry
+    (independent), or reports the dependency.
     With ``track=True`` each insert also carries its expression in terms of
     the inserted vectors, so dependencies come out as exact integer kernel
     combinations.
@@ -168,7 +170,7 @@ class Echelon:
         index = self._count
         self._count += 1
         v, scale = _to_int_vector(vec)
-        v, combo, lead = self._reduce(v, {index: scale} if self.track else None)
+        v, combo, lead, _ = self._reduce(v, {index: scale} if self.track else None)
         if not v:
             return combo if self.track else {}
         _strip_gcd_pair(v, combo)
@@ -189,21 +191,30 @@ class Echelon:
         return self._reduce(_to_int_vector(vec)[0], None)[0]
 
     def _reduce(self, v, combo):
-        """The one reduction loop: (v, combo, lead) once v is empty or its
-        leading key lead has no pivot row, combo following v if tracked."""
+        """The one reduction loop: (v, combo, lead, factor) once v is empty
+        or its leading key lead has no pivot row.  factor is the product of
+        the multipliers ca of the steps, and combo follows v if tracked.  No
+        content is stripped here; callers strip it once per reduced vector."""
+        factor = 1
         while v:
             lead = max(v)
             row = self.pivots.get(lead)
             if row is None:
-                return v, combo, lead
-            a, b = v[lead], row[lead]
-            g = math.gcd(a, b)
-            ca, cb = b // g, a // g
-            v = _cross(v, row, ca, cb)
+                return v, combo, lead, factor
+            v, ca, cb = _eliminate(v, row, lead)
+            factor *= ca
             if combo is not None:
                 combo = _cross(combo, self._combos[lead], ca, cb)
-            _strip_gcd_pair(v, combo)
-        return v, combo, None
+        return v, combo, None, factor
+
+
+def _eliminate(v, row, lead):
+    """The fraction-free step: (ca*v - cb*row, ca, cb), with ca and cb the
+    entries of row and v at lead over their gcd, so lead cancels."""
+    a, b = v[lead], row[lead]
+    g = math.gcd(a, b)
+    ca, cb = b // g, a // g
+    return _cross(v, row, ca, cb), ca, cb
 
 
 def _cross(v, row, ca, cb):
@@ -332,9 +343,9 @@ def rank_mod_p(vectors, p=PRIME, limit=None) -> int:
 class SparseMat:
     """Sparse matrix of rationals (Fraction or int) indexed by (row, col).
 
-    Zero entries are not stored.  ``rank`` and ``kernel_basis`` run the
-    fraction-free ``Echelon`` on the columns; ``det`` is the echelon-step
-    determinant.
+    Zero entries are not stored.  ``rank``, ``kernel_basis`` and ``det`` all
+    reduce the columns in ``Echelon``'s one reduction loop, with content
+    stripped once per reduced vector.
     """
 
     def __init__(self, rows: int, cols: int, entries=None):
@@ -384,44 +395,35 @@ class SparseMat:
         return basis
 
     def det(self):
-        """Exact determinant by the echelon's fraction-free step: the
-        integer-scaled columns are reduced from the largest row key down by
-        v -> ca*v - cb*row and stored stripped of their content g.  Each
-        stored column is prod(g)/prod(ca) times its own plus earlier ones,
-        and sorted by their distinct leading rows they are triangular, so
-        det = sign * prod(leads) * prod(g) / prod(ca) exactly, with sign that
-        sort's sign.  A column that reduces to zero gives 0.
+        """Exact determinant on the echelon's loop: each integer-scaled
+        column is reduced by ``Echelon._reduce``, which multiplies it by
+        factor, and stored stripped of its content g.  Each stored column is
+        prod(g)/prod(factor) times its own plus earlier ones, and sorted by
+        their distinct leading rows they are triangular, so det = sign *
+        prod(leads) * prod(g) / prod(factor) exactly, with sign that sort's
+        sign.  A column that reduces to zero gives 0.  The columns go through
+        ``_reduce``, not ``insert``, which keeps ``insert`` to ranks and
+        kernels.
 
-        The loop is Echelon.insert's, but strips content once per column
-        where insert strips after every step.  Neither policy suits both: with
-        per-step stripping here, ``phi --r 5 --lam=1/2,-1,2/3,0,1
-        --mu=1,-1/3,0,2,1/2`` went from 4.2-4.4 s to 5.3-5.7 s; with
-        strip-once in Echelon, ``homology --algebra L1:2 --p-max 4 --w-max 8``
-        went from 5.4 to 4.6 s, but its w = 9 blocks of 400 or more columns
-        from 66.4 to 77.2 s in total (one 1013-column block 15.2 -> 23.6 s)."""
+        Content is stripped once per column, as ``Echelon.insert`` strips it
+        once per vector.  Stripping after every step instead took ``phi --r 5
+        --lam=1/2,-1,2/3,0,1 --mu=1,-1/3,0,2,1/2`` from 4.2-4.4 s to 5.3-5.7
+        s, and ``homology --algebra L1:2 --p-max 4 --w-max 9`` from 21.7-24.7
+        s of CPU to 25.0-31.3 s (three runs each on a shared 2-core host)."""
         if self.rows != self.cols:
             raise ValueError("determinant of a non-square matrix")
-        pivots = {}
+        ech = Echelon()
         lead_of = []  # the leading row of each stored column, by column
         num = den = scale = 1
         for col in self.col_vectors():
             v, s = _to_int_vector(col)
             scale *= s
-            while v:
-                lead = max(v)
-                row = pivots.get(lead)
-                if row is None:
-                    break
-                a, b = v[lead], row[lead]
-                g = math.gcd(a, b)
-                ca = b // g
-                v = _cross(v, row, ca, a // g)
-                den *= ca
+            v, _, lead, factor = ech._reduce(v, None)
             if not v:
                 return Fraction(0)
-            num *= _strip_gcd_pair(v, None)
-            num *= v[lead]
-            pivots[lead] = v
+            den *= factor
+            num *= _strip_gcd_pair(v, None) * v[lead]
+            ech.pivots[lead] = v
             lead_of.append(lead)
         return Fraction(_permutation_sign(lead_of) * num // den, scale)
 

@@ -24,7 +24,7 @@ from itertools import accumulate, combinations
 
 from .exact import (
     Echelon,
-    _cross,
+    _eliminate,
     _poly_add,
     _poly_mul,
     _series_quotient,
@@ -156,23 +156,20 @@ def _s_vector(bi, bj):
     same position."""
     (vi, (pos, ei)), (vj, (_, ej)) = bi, bj
     lcm = tuple(max(a, b) for a, b in zip(ei, ej))
-    ci, cj = vi[pos, ei], vj[pos, ej]
-    g = math.gcd(ci, cj)
-    return _cross(
+    return _eliminate(
         _times(vi, tuple(a - b for a, b in zip(lcm, ei))),
         _times(vj, tuple(a - b for a, b in zip(lcm, ej))),
-        cj // g,
-        ci // g,
-    )
+        (pos, lcm),
+    )[0]
 
 
 def _reduce_vector(vec, basis):
     """Full normal form of an integer vector against basis entries
     (vec, lead), up to a nonzero integer multiple.
 
-    Each step is the echelon's: cross-multiply by the two leading
-    coefficients over their gcd, then strip the content the working vector
-    shares with the part already reduced, which is scaled along with it.
+    Each step is the echelon's ``_eliminate``; then the content the working
+    vector shares with the part already reduced, which is scaled along with
+    it, is stripped.
     """
     work, done = dict(vec), {}
     while work:
@@ -180,11 +177,8 @@ def _reduce_vector(vec, basis):
         pos, expo = lt
         for bvec, (bpos, bexpo) in basis:
             if bpos == pos and _divides(bexpo, expo):
-                a, b = work[lt], bvec[bpos, bexpo]
-                g = math.gcd(a, b)
                 row = _times(bvec, tuple(x - y for x, y in zip(expo, bexpo)))
-                scale = b // g
-                work = _cross(work, row, scale, a // g)
+                work, scale, _ = _eliminate(work, row, lt)
                 done = {term: c * scale for term, c in done.items()}
                 _strip_gcd_pair(work, done)
                 break

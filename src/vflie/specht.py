@@ -118,12 +118,6 @@ def tspace_series(ts: TSpace) -> dict:
             continue
         num = _poly_add(num[:tail_start]) or [0]
         if RationalSeries(num, den).expand(cutoff) == dims:
-            return {
-                "dims": dims,
-                "num": num,
-                "den": den,
-                "verified_upto": cutoff,
-                "inconclusive": False,
-            }
+            return {"dims": dims, "num": num, "den": den, "inconclusive": False}
     return {"dims": dims, "inconclusive": True}
 

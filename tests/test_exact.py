@@ -2,6 +2,7 @@
 
 import functools
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -98,8 +99,9 @@ def _rank(vectors):
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(_tracked_families())
 def test_tracked_echelon_on_random_families(case):
-    # every dependency sums to zero over the inserted vectors, the rank is
-    # sympy's, and reduce is empty exactly on the span
+    # every dependency sums to zero over the inserted vectors, every pivot
+    # row with its tracked combination has content 1 and a positive leading
+    # entry, the rank is sympy's, and reduce is empty exactly on the span
     family, probes = case
     ech = Echelon(track=True)
     for index, vec in enumerate(family):
@@ -109,6 +111,9 @@ def test_tracked_echelon_on_random_families(case):
         assert combo[index] != 0 and all(type(c) is int for c in combo.values())
         for k in range(6):
             assert sum(c * family[i].get(k, 0) for i, c in combo.items()) == 0
+    for lead, row in ech.pivots.items():
+        assert lead == max(row) and row[lead] > 0
+        assert math.gcd(*row.values(), *ech._combos[lead].values()) == 1
     rank = _rank(family)
     assert ech.rank == rank
     for vec in probes:
@@ -248,6 +253,11 @@ def _square_matrices(draw):
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(_square_matrices())
 def test_det_matches_sympy(m):
+    # det != 0 exactly when the columns are independent in an Echelon
+    ech = Echelon()
+    for col in m.col_vectors():
+        ech.insert(col)
+    assert (m.det() != 0) == (ech.rank == m.rows)
     expected = Fraction(str(_sympy_matrix(m).det()))
     assert m.det() == expected
 
