@@ -204,6 +204,14 @@ def _dims_csv(dims) -> str:
     return _lines(["w,dim"] + ["%d,%d" % wd for wd in enumerate(dims)])
 
 
+def _table_csv(table, p_max: int, w_max: int) -> str:
+    """The homology table: one row per homological degree, one column per
+    weight."""
+    weights = range(w_max + 1)
+    rows = [["p\\w", *weights]] + [[p, *(table[p, w] for w in weights)] for p in range(p_max + 1)]
+    return _lines(",".join(map(str, row)) for row in rows)
+
+
 # -- subcommands
 #
 # Each _cmd_* parses and checks its input and computes its result, then
@@ -326,7 +334,7 @@ def _cmd_homology(args):
             if table[p, w]
         ],
     }
-    return EXIT_OK, payload, {"csv": lambda: hm.table_to_csv(table, args.p_max, args.w_max)}
+    return EXIT_OK, payload, {"csv": lambda: _table_csv(table, args.p_max, args.w_max)}
 
 
 def _cmd_weights(args):

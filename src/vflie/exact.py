@@ -4,8 +4,10 @@ sparse linear algebra.
 Everything here computes over Q with arbitrary-precision integers, with no
 floating point.  Rational scalars are stdlib ``fractions.Fraction``;
 elimination clears denominators and runs fraction-free over the integers:
-one reduction loop, ``Echelon._reduce``, on one step, ``_eliminate``, with
-content stripped once per reduced vector to control coefficient growth.
+one reduction loop, ``Echelon._reduce``, on one step, ``_eliminate``.  One
+normal form, ``_primitive``, divides a vector by its content and fixes its
+sign, once per reduced vector, to control coefficient growth: pivot rows,
+determinant columns, kernel vectors and ``pbw_hilbert``'s relations.
 Univariate polynomials and truncated power series are ascending integer
 coefficient lists, and every product, sum and series quotient of them goes
 through ``_poly_mul``, ``_poly_add`` and ``_series_quotient``.
@@ -26,6 +28,7 @@ import heapq
 import math
 from collections import Counter
 from fractions import Fraction
+from itertools import chain
 
 __all__ = [
     "parse_rat",
@@ -143,8 +146,8 @@ class Echelon:
     Vectors are sparse ``{key: value}`` dicts with mutually comparable keys.
     ``insert`` reduces the vector against the stored pivot rows (pivot = the
     maximal key) by integer cross-multiplication, then either records a new
-    pivot row, stripped of its content with a positive leading entry
-    (independent), or reports the dependency.
+    pivot row, made primitive with a positive leading entry by
+    ``_primitive`` (independent), or reports the dependency.
     With ``track=True`` each insert also carries its expression in terms of
     the inserted vectors, so dependencies come out as exact integer kernel
     combinations.
@@ -173,13 +176,7 @@ class Echelon:
         v, combo, lead, _ = self._reduce(v, {index: scale} if self.track else None)
         if not v:
             return combo if self.track else {}
-        _strip_gcd_pair(v, combo)
-        if v[lead] < 0:
-            for k in v:
-                v[k] = -v[k]
-            if combo is not None:
-                for k in combo:
-                    combo[k] = -combo[k]
+        _primitive(v, lead, combo)
         self.pivots[lead] = v
         if self.track:
             self._combos[lead] = combo
@@ -229,26 +226,22 @@ def _cross(v, row, ca, cb):
     return out
 
 
-def _strip_gcd_pair(v, combo):
-    """Divide v (and its tracked combination) by their joint content g; return g."""
-    if not v:
-        return 1
+def _primitive(v, lead, combo=None):
+    """The one normal form of an integer vector: divide v, and its tracked
+    combination if given, by their joint content, signed so that v[lead] > 0;
+    return that signed divisor."""
     g = 0
-    for x in v.values():
+    for x in chain(v.values(), combo.values() if combo else ()):
         g = math.gcd(g, x)
         if g == 1:
-            return 1
-    if combo is not None:
-        for x in combo.values():
-            g = math.gcd(g, x)
-            if g == 1:
-                return 1
-    if g > 1:
+            break
+    if v[lead] < 0:
+        g = -g
+    if g != 1:
         for k in v:
             v[k] //= g
-        if combo is not None:
-            for k in combo:
-                combo[k] //= g
+        for k in combo or ():
+            combo[k] //= g
     return g
 
 
@@ -344,8 +337,8 @@ class SparseMat:
     """Sparse matrix of rationals (Fraction or int) indexed by (row, col).
 
     Zero entries are not stored.  ``rank``, ``kernel_basis`` and ``det`` all
-    reduce the columns in ``Echelon``'s one reduction loop, with content
-    stripped once per reduced vector.
+    reduce the columns in ``Echelon``'s one reduction loop, and ``_primitive``
+    normalizes each reduced column or kernel vector once.
     """
 
     def __init__(self, rows: int, cols: int, entries=None):
@@ -388,16 +381,15 @@ class SparseMat:
             combo = ech.insert(col)
             if combo is None:
                 continue
-            vec = [0] * self.cols
-            for idx, c in combo.items():
-                vec[idx] = c
-            basis.append(_normalize_kernel_vector(vec))
+            _primitive(combo, min(combo))
+            basis.append(tuple(combo.get(idx, 0) for idx in range(self.cols)))
         return basis
 
     def det(self):
         """Exact determinant on the echelon's loop: each integer-scaled
         column is reduced by ``Echelon._reduce``, which multiplies it by
-        factor, and stored stripped of its content g.  Each stored column is
+        factor, and stored divided by g, its content signed by
+        ``_primitive`` so that its lead is positive.  Each stored column is
         prod(g)/prod(factor) times its own plus earlier ones, and sorted by
         their distinct leading rows they are triangular, so det = sign *
         prod(leads) * prod(g) / prod(factor) exactly, with sign that sort's
@@ -422,7 +414,7 @@ class SparseMat:
             if not v:
                 return Fraction(0)
             den *= factor
-            num *= _strip_gcd_pair(v, None) * v[lead]
+            num *= _primitive(v, lead) * v[lead]
             ech.pivots[lead] = v
             lead_of.append(lead)
         return Fraction(_permutation_sign(lead_of) * num // den, scale)
@@ -437,12 +429,3 @@ def _permutation_sign(perm):
             seen.add(i)
             i = perm[i]
     return -1 if parity % 2 else 1
-
-
-def _normalize_kernel_vector(vec):
-    """An integer vector divided by its content and signed so that its first
-    nonzero entry is positive, as a tuple."""
-    g = math.gcd(*vec)
-    if next(v for v in vec if v) < 0:
-        g = -g
-    return tuple(v // g for v in vec)

@@ -52,10 +52,10 @@ the torus weight and the exchangeable coordinates.
 
 from __future__ import annotations
 
-import csv
-import io
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import count
+from math import comb
 
 from ._enum import monomials_of_degree
 from .exact import rank_of_vectors
@@ -67,12 +67,11 @@ from .liealg import (
     bracket_basis,
 )
 from .spanning import ResourceLimitError
-from .tensormod import ModuleDescriptor, _letter_constants
+from .tensormod import ModuleDescriptor, _letter_constants, graded_dimension
 
 __all__ = [
     "TensorCoefficients",
     "homology_table",
-    "table_to_csv",
     "DEFAULT_DIM_LIMIT",
 ]
 
@@ -270,6 +269,30 @@ def _field_top(alg: AlgebraDescriptor, p: int, w: int) -> int:
     return w + max(p - 1, 0) * max(-alg.min_weight, 0)
 
 
+def _chain_dims(alg: AlgebraDescriptor, coeffs: TensorCoefficients, p_top: int):
+    """[dim C_p(w) for p <= p_top] for w = 0, 1, ..., counted without
+    numbering a field or listing a chain.  subsets[q][s] counts the
+    q-subsets of the fields up to weight top with weight sum s; the m fields
+    of a new weight v (n C(v + n, n - 1), or n for Lsum) add C(m, k) ways to
+    take k of them."""
+    n, desc = alg.n, coeffs.descriptor
+    subsets = [{0: 1}] + [{} for _ in range(p_top)]
+    top = alg.min_weight - 1
+    for w in count():
+        for v in range(top + 1, _field_top(alg, p_top, w) + 1):
+            m = n if alg.flavor == FLAVOR_COORDINATE_SUM else n * comb(v + n, n - 1)
+            for q in range(p_top, 0, -1):
+                for k in range(1, q + 1):
+                    ways, into = comb(m, k), subsets[q]
+                    for s, c in subsets[q - k].items():
+                        into[s + k * v] = into.get(s + k * v, 0) + c * ways
+            top = v
+        yield [
+            sum(c * graded_dimension(desc, w - s) for s, c in subsets[p].items() if s <= w)
+            for p in range(p_top + 1)
+        ]
+
+
 def homology_table(
     alg: AlgebraDescriptor,
     coeffs,
@@ -282,29 +305,29 @@ def homology_table(
     The table is a finite window, never a completeness statement beyond it.
     Weights are handled one at a time, and the field pool grows with the
     weight; a chain slice larger than dim_limit raises ResourceLimitError
-    naming the slice before any rank at its weight is taken and before any
-    heavier field is numbered.
+    naming the slice, its dimension counted before any field of its weight
+    is numbered or any chain listed.
     """
-    cx = _Complex(alg, coeffs, _field_top(alg, p_max + 1, 0))
+    cx = _Complex(alg, coeffs, alg.min_weight - 1)
     table = {}
-    for w in range(w_max + 1):
+    for w, dims in zip(range(w_max + 1), _chain_dims(alg, coeffs, p_max + 1)):
+        for p, dim in enumerate(dims):
+            if dim > dim_limit:
+                raise ResourceLimitError(
+                    "chain slice (p=%d, w=%d) has dimension %d > limit %d"
+                    % (p, w, dim, dim_limit)
+                )
         cx.grow(_field_top(alg, p_max + 1, w))
-        table.update(_weight_table(cx, p_max, w, dim_limit))
+        table.update(_weight_table(cx, p_max, w))
     return table
 
 
-def _weight_table(cx: _Complex, p_max: int, w: int, dim_limit: int):
+def _weight_table(cx: _Complex, p_max: int, w: int):
     """{(p, w): dim H_p(w)} for p <= p_max at one weight."""
     blocks = []  # per p: {torus weight: [chain keys]}
     for p in range(p_max + 2):
-        chains = cx.chains(p, w)
-        if len(chains) > dim_limit:
-            raise ResourceLimitError(
-                "chain slice (p=%d, w=%d) has dimension %d > limit %d"
-                % (p, w, len(chains), dim_limit)
-            )
         split = {}
-        for key in chains:
+        for key in cx.chains(p, w):
             split.setdefault(cx.torus(key), []).append(key)
         blocks.append(split)
 
@@ -333,14 +356,3 @@ def _weight_table(cx: _Complex, p_max: int, w: int, dim_limit: int):
         )
         for p in range(p_max + 1)
     }
-
-
-def table_to_csv(table, p_max: int, w_max: int) -> str:
-    """CSV rendering: one row per homological degree, one column per weight."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["p\\w"] + [str(w) for w in range(w_max + 1)])
-    for p in range(p_max + 1):
-        writer.writerow([str(p)] + [str(table[(p, w)]) for w in range(w_max + 1)])
-    return buf.getvalue()
-

@@ -27,8 +27,8 @@ from .exact import (
     _eliminate,
     _poly_add,
     _poly_mul,
+    _primitive,
     _series_quotient,
-    _strip_gcd_pair,
     _to_int_vector,
     interpolate,
 )
@@ -77,9 +77,10 @@ def associated_graded_presentation(
     word length; a dependent column's dependency is truncated to its
     maximal-length terms (lower lengths vanish in the graded piece), so the
     harvested relations generate the graded relation module exactly on the
-    verified window.  Columns come from word_vectors, scaled by
-    den**length; a truncated dependency has a single length, so it is a
-    multiple of the exact one and normalizes to the same relation.
+    verified window.  Columns come from one word_vectors call per weight
+    over the generators, which must be distinct, scaled by den**length; a
+    truncated dependency has a single length, so it is a multiple of the
+    exact one and normalizes to the same relation.
 
     The relations harvested at w are independent (each ends in its own
     column) and the relation module they generate contains their span, so
@@ -89,13 +90,11 @@ def associated_graded_presentation(
     """
     gens = sorted(tuple(int(a) for a in s) for s in S)
     gen_weights = tuple(sum(s) for s in gens)
+    slot = {s: j for j, s in enumerate(gens)}
     relations = []
     ranks = []
     for w in range(cutoff + 1):
-        columns = []
-        for j, s in enumerate(gens):
-            for (_, b), vec in word_vectors(descriptor, [s], w):
-                columns.append((sum(b), b, j, vec))
+        columns = [(sum(b), b, slot[a], vec) for (a, b), vec in word_vectors(descriptor, gens, w)]
         columns.sort(key=lambda col: col[:3])
         ech = Echelon(track=True)
         for length, _, _, vec in columns:
@@ -106,7 +105,8 @@ def associated_graded_presentation(
                     llen, lb, lj, _ = columns[i]
                     if llen == length:
                         top[lj, lb] = c
-                relations.append(_normalize(top))
+                _primitive(top, _lead(top))
+                relations.append(top)
         ranks.append(ech.rank)
     return PolyModulePresentation(descriptor.r, gen_weights, relations, tuple(ranks))
 
@@ -129,15 +129,6 @@ def _term_key(term):
 def _lead(vec):
     """(slot, exponent) of the maximal term of a nonzero relation vector."""
     return max(vec, key=_term_key)
-
-
-def _normalize(vec):
-    """A nonzero integer relation vector divided by its content, signed so
-    that its leading coefficient is positive."""
-    g = math.gcd(*vec.values())
-    if vec[_lead(vec)] < 0:
-        g = -g
-    return {term: c // g for term, c in vec.items()}
 
 
 def _divides(e1, e2):
@@ -165,26 +156,26 @@ def _s_vector(bi, bj):
 
 def _reduce_vector(vec, basis):
     """Full normal form of an integer vector against basis entries
-    (vec, lead), up to a nonzero integer multiple.
+    (vec, lead), up to a nonzero integer multiple; no content is stripped.
 
-    Each step is the echelon's ``_eliminate``; then the content the working
-    vector shares with the part already reduced, which is scaled along with
-    it, is stripped.
+    Each step is the echelon's ``_eliminate``, which multiplies the working
+    vector by ca.  A term that no basis lead divides is set aside with the
+    product f of the multipliers so far, and scaled once at the end by
+    factor // f, factor the product of all of them.
     """
-    work, done = dict(vec), {}
+    work, done, factor = dict(vec), [], 1
     while work:
         lt = _lead(work)
         pos, expo = lt
         for bvec, (bpos, bexpo) in basis:
             if bpos == pos and _divides(bexpo, expo):
                 row = _times(bvec, tuple(x - y for x, y in zip(expo, bexpo)))
-                work, scale, _ = _eliminate(work, row, lt)
-                done = {term: c * scale for term, c in done.items()}
-                _strip_gcd_pair(work, done)
+                work, ca, _ = _eliminate(work, row, lt)
+                factor *= ca
                 break
         else:
-            done[lt] = work.pop(lt)
-    return done
+            done.append((lt, work.pop(lt), factor))
+    return {term: c * (factor // f) for term, c, f in done}
 
 
 def module_groebner(pres: PolyModulePresentation) -> PolyModulePresentation:
@@ -209,7 +200,7 @@ def module_groebner(pres: PolyModulePresentation) -> PolyModulePresentation:
 
     The basis is then minimalized, inter-reduced, normalized and sorted by
     leading term.  A module has one reduced Groebner basis for a given
-    order, up to the scale of its elements, and _normalize fixes that
+    order, up to the scale of its elements, and _primitive fixes that
     scale, so the output depends only on the module the relations
     generate, not on their order, their scale or how they were found.
     """
@@ -232,8 +223,8 @@ def module_groebner(pres: PolyModulePresentation) -> PolyModulePresentation:
         nf = _reduce_vector(vec, basis)
         if not nf:
             continue
-        nf = _normalize(nf)
         pos, expo = _lead(nf)
+        _primitive(nf, (pos, expo))
         for m, (_, (bpos, bexpo)) in enumerate(basis):
             if bpos == pos:
                 lcm = tuple(max(x, y) for x, y in zip(expo, bexpo))
@@ -248,10 +239,12 @@ def module_groebner(pres: PolyModulePresentation) -> PolyModulePresentation:
         if not any(bpos == pos and _divides(bexpo, expo) for _, (bpos, bexpo) in basis[idx + 1 :])
     ]
     minimal.sort(key=lambda entry: (entry[1][0], _wdeg(entry[1][1]), entry[1][1]))
-    out = [
-        _normalize(_reduce_vector(vec, minimal[:i] + minimal[i + 1 :]))
-        for i, (vec, _) in enumerate(minimal)
-    ]
+    out = []
+    for i, (vec, lead) in enumerate(minimal):
+        # no other leading term divides lead, so it stays the leading term
+        vec = _reduce_vector(vec, minimal[:i] + minimal[i + 1 :])
+        _primitive(vec, lead)
+        out.append(vec)
     return PolyModulePresentation(pres.r, gen_weights, out)
 
 

@@ -394,10 +394,17 @@ def test_huge_weight_and_dilation_refused_at_once():
 
 
 def test_huge_homology_window_refused_at_once():
-    # the field pool grows with the weight, so the first slice over the limit
-    # is refused before the fields of the rest of the window are numbered
-    argv = ["homology", "--algebra", "L1:4", "--p-max", "1", "--w-max", "100000"]
-    _refused_at_once(argv, "p=2, w=5", "20000")
+    # each slice is counted before the fields of its weight are numbered, so
+    # the first slice over the limit is refused before the window grows
+    cases = [
+        ("L1:4", "1", "100000", "p=2, w=5"),
+        ("L1:120", "1", "1", "(p=1, w=1) has dimension 871200"),
+        ("L1:200", "1", "1", "(p=1, w=1) has dimension 4020000"),
+        ("W:40", "2", "0", "(p=2, w=0) has dimension 2591200"),
+    ]
+    for algebra, p_max, w_max, text in cases:
+        argv = ["homology", "--algebra", algebra, "--p-max", p_max, "--w-max", w_max]
+        _refused_at_once(argv, text, "20000")
 
 
 def test_huge_phi_rank_refused_at_once():

@@ -190,6 +190,8 @@ def test_rank_nullity_and_kernel():
         assert m.rank() + len(ker) == cols
         for vec in ker:
             assert len(vec) == cols and all(type(c) is int for c in vec)
+            # primitive, with a positive first nonzero entry
+            assert math.gcd(*vec) == 1 and next(c for c in vec if c) > 0, vec
             for i in range(rows):
                 total = sum(m.entries.get((i, j), 0) * vec[j] for j in range(cols))
                 assert total == 0

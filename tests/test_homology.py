@@ -9,11 +9,7 @@ import pytest
 from _reference import boundary_matrix, chain_list, field_pool, homology_dim
 
 from vflie import cli, exact, homology
-from vflie.homology import (
-    TensorCoefficients,
-    homology_table,
-    table_to_csv,
-)
+from vflie.homology import TensorCoefficients, homology_table
 from vflie.liealg import AlgebraDescriptor
 from vflie.spanning import ResourceLimitError
 from vflie.tensormod import ModuleDescriptor
@@ -192,14 +188,12 @@ def test_cartan_vanishing_w2():
 
 
 def test_csv_and_json_rendering(tmp_path):
-    table = homology_table(L1, TRIV, 1, 3)
-    csv_text = table_to_csv(table, 1, 3)
-    lines = csv_text.strip().split("\n")
-    assert lines[0] == "p\\w,0,1,2,3"
-    assert lines[1] == "0,1,0,0,0"
-    assert lines[2] == "1,0,1,1,0"
-    out = tmp_path / "table.json"
+    out = tmp_path / "table.csv"
     argv = ["homology", "--algebra", "L1:1", "--p-max", "1", "--w-max", "3", "--output", str(out)]
+    assert cli.main(argv + ["--format", "csv"]) == 0
+    assert out.read_text().split("\n") == ["p\\w,0,1,2,3", "0,1,0,0,0", "1,0,1,1,0", ""]
+    out = tmp_path / "table.json"
+    argv[-1] = str(out)
     assert cli.main(argv) == 0
     assert json.loads(out.read_text()) == {
         "algebra": "L1:1",
@@ -262,6 +256,15 @@ def test_certified_table_matches_exact_ranks(monkeypatch, prime):
         assert homology_table(alg, coeffs, p_max, w_max) == table, alg.label()
     if prime == 3:
         assert len(fallbacks) > 20
+
+
+def test_chain_dims_count_the_chains():
+    # the counts the size limit is checked on, before any field is numbered
+    for alg, coeffs, p_max, w_max in WINDOWS:
+        cx = homology._Complex(alg, coeffs, homology._field_top(alg, p_max + 1, w_max))
+        counts = homology._chain_dims(alg, coeffs, p_max + 1)
+        for w, dims in zip(range(w_max + 1), counts):
+            assert dims == [len(cx.chains(p, w)) for p in range(p_max + 2)], (alg.label(), w)
 
 
 def _blocks_with_boundary(alg, coeffs, p_max, w_max):

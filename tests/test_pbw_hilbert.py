@@ -48,21 +48,27 @@ def test_rank_two_trivial_parameters():
     assert list(pres.harvest_ranks) == dims[:11]
 
 
-def test_relations_are_weight_homogeneous():
-    desc = ModuleDescriptor(2, (Fraction(0),) * 2, (Fraction(0),) * 2)
-    S = [tuple(s) for s in spanning_generators(2, desc.lam, desc.mu)]
-    pres = associated_graded_presentation(desc, S, 8)
-    gb = module_groebner(pres)
-    assert pres.relations and gb.relations
-    for rel in pres.relations:
-        weights = {pres.generator_weights[pos] + _wdeg(expo) for pos, expo in rel}
-        assert len(weights) == 1, rel
-    # harvested and Groebner relations: primitive integer vectors with a
-    # positive leading coefficient
-    for rel in pres.relations + gb.relations:
+def _assert_primitive(relations):
+    """Each relation is a nonzero integer vector with content 1 and a
+    positive coefficient at its leading term."""
+    for rel in relations:
         assert rel and all(type(c) is int for c in rel.values()), rel
         assert math.gcd(*rel.values()) == 1, rel
         assert rel[_lead(rel)] > 0, rel
+
+
+def test_relations_are_weight_homogeneous():
+    # zero parameters, and half-integer ones, whose columns are scaled by 2
+    for lam, mu in (((0, 0), (0, 0)), ((Fraction(-1, 2), 0), (Fraction(1, 2), 0))):
+        desc = ModuleDescriptor(2, lam, mu)
+        S = [tuple(s) for s in spanning_generators(2, desc.lam, desc.mu)]
+        pres = associated_graded_presentation(desc, S, 8)
+        gb = module_groebner(pres)
+        assert pres.relations and gb.relations
+        for rel in pres.relations:
+            weights = {pres.generator_weights[pos] + _wdeg(expo) for pos, expo in rel}
+            assert len(weights) == 1, rel
+        _assert_primitive(pres.relations + gb.relations)
 
 
 def test_series_matches_module_dimensions_random():
@@ -307,6 +313,7 @@ def test_module_groebner_oracle_random():
         pres = _random_presentation(rng)
         gb = module_groebner(pres)
         assert groebner_self_test(gb)
+        _assert_primitive(gb.relations)
         dims = [int(c) for c in hilbert_series(gb).expand(upto)]
         assert dims == _brute_force_dims(pres, upto), _as_data(pres)
         # reduced: no term of an element is divisible by another's leading term
