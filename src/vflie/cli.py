@@ -399,6 +399,15 @@ def _load_generators(path: str):
 def _cmd_specht(args):
     gens, n = _load_generators(args.generators)
     _check_cutoff(args.cutoff, n)
+    # the closure of a generator above the cutoff is not seen in the window,
+    # so no fit of the window could stand for the series
+    for i, g in enumerate(gens, 1):
+        top = max(map(sum, g), default=0)
+        if top > args.cutoff:
+            raise ResourceLimitError(
+                "generator %d has a component of degree %d above the cutoff %d"
+                % (i, top, args.cutoff)
+            )
     ts = closure_basis(gens, n, args.cutoff)
     fit = tspace_series(ts)
     payload = {

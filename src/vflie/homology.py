@@ -10,9 +10,8 @@ Chains are C_p = Lambda^p(g) (x) M with the boundary
 Both terms preserve total weight (wedge weight plus module weight), so every
 homology space splits into finite-dimensional weight slices.  They also
 preserve the finer torus weight in Z^n: the sum of a - e_i over the wedge
-fields x^a d_i plus, for each tensor factor, its exponent on the coordinate
-the factor sits on.  So each slice splits further into blocks, each its own
-subcomplex, and
+fields x^a d_i plus, on the one coordinate of L_d(1), the module degree.
+So each slice splits further into blocks, each its own subcomplex, and
 
   dim H_p(w) = sum over blocks t of dim C_p(t) - rank d_p(t) - rank d_(p+1)(t).
 
@@ -20,15 +19,13 @@ A window numbers its basis fields in sort order, so a chain is the integer
 key (increasing tuple of field numbers, module exponent).  Chains are
 enumerated, split and differentiated as keys.
 
-A permutation s of the coordinates is an automorphism of W(n), L_d(n) and
-the coordinate sum, and of the coefficients when every coordinate goes to
-one whose factors carry the same pairs (lambda_j, mu_j), because it permutes
-the tensor factors too; trivial coefficients have no factors.  It maps the
-chains of torus weight t onto those of weight s(t), each up to the sign of
-re-sorting its wedge, and commutes with d; so blocks t and s(t) have the
+A permutation s of the coordinates is an automorphism of W(n) and L_d(n)
+and fixes the trivial module, their only coefficients for n >= 2.  It maps
+the chains of torus weight t onto those of weight s(t), each up to the sign
+of re-sorting its wedge, and commutes with d; so blocks t and s(t) have the
 same ranks, over Q and mod every prime.  Only the canonical block of each
-orbit, t sorted within each class of exchangeable coordinates, is ranked,
-and the other blocks of its orbit share its ranks.
+orbit, t sorted, is ranked, and the other blocks of its orbit share its
+ranks.
 
 Each canonical block is ranked once, going up in p, by
 ``exact.rank_of_vectors`` with the bound that d o d = 0 gives:
@@ -41,13 +38,21 @@ row-operation entries (over all blocks of L1:1 p <= 4, w <= 40: 1210574
 against 211675; L2:1, same window: 494917 against 145534; L1:2 p <= 3,
 w <= 8: 659184 against 579067, and 331429 once mirror blocks are skipped).
 
-Coefficients are one class, the tensor module T^r (``TensorCoefficients``),
-whose r = 0 is the trivial module k and fits every flavor.  Factor j sits on
-coordinate j of the coordinate sum, which needs r = n, and on the only
-coordinate of L_d(1), d >= 1, where the one-variable algebra acts
-diagonally.  That placement gives the action, x_c^(k+1) d_c acting on the
-factors on coordinate c with the integers of ``tensormod._letter_constants``,
-the torus weight and the exchangeable coordinates.
+The coordinate sum is a product (Kuenneth).  Copy j of L_1(1) in
+L_1(1) + ... + L_1(1) acts on tensor factor j of T^n alone (on nothing when
+r = 0, the trivial module), and the copies bracket to zero.  So
+Lambda(g_1 + ... + g_n) (x) M_1 (x) ... (x) M_n is the tensor product of the
+one-variable complexes Lambda(g_j) (x) M_j: moving each wedge factor next to
+its module factor costs a Koszul sign, the bracket term has no cross
+brackets, and a field of copy j acts on M_j only, so d becomes
+sum_j (+-1) (x) ... (x) d_j (x) ... (x) 1.  Degrees and weights add, and
+over the field Q the Kuenneth formula gives
+
+  dim H_p(w) = sum over p_1 + ... + p_n = p, w_1 + ... + w_n = w of
+               prod_j dim H_(p_j)(w_j)(L_1(1); M_j).
+
+Every p_j and w_j is >= 0, so the window p <= p_max, w <= w_max of the sum
+needs only the same window of each L_1(1) table.
 """
 
 from __future__ import annotations
@@ -67,7 +72,7 @@ from .liealg import (
     bracket_basis,
 )
 from .spanning import ResourceLimitError
-from .tensormod import ModuleDescriptor, _letter_constants, graded_dimension
+from .tensormod import ModuleDescriptor, _act_int, _letter_constants, graded_dimension
 
 __all__ = [
     "TensorCoefficients",
@@ -98,32 +103,14 @@ class TensorCoefficients:
     def basis_at_weight(self, w: int):
         return monomials_of_degree(self.descriptor.r, w) if w >= 0 else []
 
-    def _coordinates(self, n: int):
-        """The coordinate each factor sits on: factor j on coordinate j of
-        the coordinate sum (r = n), every factor on the one of L_d(1)."""
-        return [j if n > 1 else 0 for j in range(self.descriptor.r)]
-
     def act_scaled(self, field: VFBasis, expo):
-        """den times field . z^expo, as {exponent: int}: x_c^(k+1) d_c takes
-        z^expo to (den * a_j + base_j) z_j^k z^expo for each factor j on c,
-        with base_j = den * (mu_j + (k+1) lambda_j) from _letter_constants:
-        letter 1 of the k-dilated algebra is e_k."""
+        """den times field . z^expo on L_d(1), as {exponent: int}: x^(k+1) d
+        is e_k, which acts on every factor by tensormod's integer kernel with
+        the constants of _letter_constants (letter 1 of the k-dilated
+        algebra is e_k)."""
         k = field.weight
         den, (base,) = _letter_constants(self.descriptor, 1, k)
-        out = {}
-        for j, c in enumerate(self._coordinates(field.n)):
-            f = den * expo[j] + base[j]
-            if f and c == field.direction:
-                out[expo[:j] + (expo[j] + k,) + expo[j + 1 :]] = f
-        return out
-
-    def torus_weight(self, n: int, expo):
-        """Torus weight of z^expo in Z^n: each factor's exponent adds to its
-        coordinate."""
-        t = [0] * n
-        for j, c in enumerate(self._coordinates(n)):
-            t[c] += expo[j]
-        return tuple(t)
+        return _act_int({expo: 1}, k, den, base)
 
 
 class _Complex:
@@ -132,25 +119,14 @@ class _Complex:
     (scale = the common denominator of the coefficients' parameters)."""
 
     def __init__(self, alg: AlgebraDescriptor, coeffs: TensorCoefficients, w_top: int):
-        coeffs.validate(alg)
         self.alg, self.coeffs, self.scale = alg, coeffs, coeffs.descriptor.den
         self.fields, self.number, self.weights = [], {}, []
-        self.top = alg.min_weight - 1
-        self.grow(w_top)
-        self._brackets = {}
-        self._actions = {}
-        self._classes = _exchangeable(alg.n, coeffs)
-
-    def grow(self, w_top: int):
-        """Number the basis fields of weight up to w_top.  Fields are numbered
-        in weight order, so heavier ones extend the numbering and leave every
-        chain key and cached bracket or action as it was."""
-        for w in range(self.top + 1, w_top + 1):
-            for f in basis_of_weight(self.alg, w):
+        for w in range(alg.min_weight, w_top + 1):
+            for f in basis_of_weight(alg, w):
                 self.number[f] = len(self.fields)
                 self.fields.append(f)
                 self.weights.append(w)
-        self.top = max(self.top, w_top)
+        self._brackets, self._actions = {}, {}
 
     def chains(self, p: int, w: int):
         """Keys of C_p(w): module-part weight ascending, then wedges in lex
@@ -186,26 +162,15 @@ class _Complex:
         return out
 
     def torus(self, key):
-        """Torus weight in Z^n of a chain, preserved by the boundary."""
+        """Torus weight in Z^n of a chain, preserved by the boundary; the
+        module degree lies on coordinate 0, the only one of L_d(1)."""
         wedge, expo = key
-        t = list(self.coeffs.torus_weight(self.alg.n, expo))
+        t = [sum(expo)] + [0] * (self.alg.n - 1)
         for i in wedge:
             field = self.fields[i]
             for c, a in enumerate(field.exponent):
                 t[c] += a - (c == field.direction)
         return tuple(t)
-
-    def canonical(self, t):
-        """The representative of t's orbit under the coordinate permutations
-        that fix the window: t sorted within each class of exchangeable
-        coordinates."""
-        if not self._classes:
-            return t
-        out = list(t)
-        for cls in self._classes:
-            for i, a in zip(cls, sorted(t[i] for i in cls)):
-                out[i] = a
-        return tuple(out)
 
     def _bracket(self, i, j):
         out = self._brackets.get((i, j))
@@ -249,20 +214,6 @@ class _Complex:
         return {row: c for row, c in out.items() if c}
 
 
-def _exchangeable(n: int, coeffs: TensorCoefficients):
-    """Classes of at least two coordinates that permute freely: those whose
-    factors carry equal multisets of (lambda_j, mu_j).  With trivial
-    coefficients every multiset is empty, so all n coordinates form one."""
-    desc = coeffs.descriptor
-    labels = [[] for _ in range(n)]
-    for j, c in enumerate(coeffs._coordinates(n)):
-        labels[c].append((desc.lam[j], desc.mu[j]))
-    classes = {}
-    for i, label in enumerate(labels):
-        classes.setdefault(tuple(sorted(label)), []).append(i)
-    return [cls for cls in classes.values() if len(cls) > 1]
-
-
 def _field_top(alg: AlgebraDescriptor, p: int, w: int) -> int:
     """Highest field weight in a chain of C_q(w), q <= p: w, plus p - 1 for
     W(n), whose weight -1 fields leave room for heavier ones."""
@@ -303,13 +254,13 @@ def homology_table(
     """Exact dims {(p, w): dim H_p(w)} for p <= p_max, w <= w_max.
 
     The table is a finite window, never a completeness statement beyond it.
-    Weights are handled one at a time, and the field pool grows with the
-    weight; a chain slice larger than dim_limit raises ResourceLimitError
-    naming the slice, its dimension counted before any field of its weight
-    is numbered or any chain listed.
+    Every chain slice of the window is counted before any field is numbered
+    or any chain listed, and the first one larger than dim_limit, by weight
+    and then degree, raises ResourceLimitError naming it.  The coordinate
+    sum is then the product of its one-variable tables (Kuenneth, see the
+    module docstring); every other algebra is ranked weight by weight.
     """
-    cx = _Complex(alg, coeffs, alg.min_weight - 1)
-    table = {}
+    coeffs.validate(alg)
     for w, dims in zip(range(w_max + 1), _chain_dims(alg, coeffs, p_max + 1)):
         for p, dim in enumerate(dims):
             if dim > dim_limit:
@@ -317,8 +268,37 @@ def homology_table(
                     "chain slice (p=%d, w=%d) has dimension %d > limit %d"
                     % (p, w, dim, dim_limit)
                 )
-        cx.grow(_field_top(alg, p_max + 1, w))
+    if alg.flavor == FLAVOR_COORDINATE_SUM:
+        return _kuenneth(alg.n, coeffs.descriptor, p_max, w_max, dim_limit)
+    cx = _Complex(alg, coeffs, _field_top(alg, p_max + 1, w_max))
+    table = {}
+    for w in range(w_max + 1):
         table.update(_weight_table(cx, p_max, w))
+    return table
+
+
+def _kuenneth(n: int, desc: ModuleDescriptor, p_max: int, w_max: int, dim_limit: int):
+    """The table of the coordinate sum with coefficients desc: the product
+    of the L_1(1) tables of its factors, T^1_(lambda_j, mu_j) for r = n and
+    the trivial module for r = 0, one table per distinct factor."""
+    factors = [ModuleDescriptor(1, (l,), (m,)) for l, m in zip(desc.lam, desc.mu)] or [desc] * n
+    l1 = AlgebraDescriptor(1, d=1)
+    tables = {
+        f: homology_table(l1, TensorCoefficients(f), p_max, w_max, dim_limit)
+        for f in set(factors)
+    }
+    window = [(p, w) for p in range(p_max + 1) for w in range(w_max + 1)]
+    table = {(0, 0): 1}  # the empty product: the zero algebra on k
+    for f in factors:
+        factor = tables[f]
+        table = {
+            (p, w): sum(
+                table.get((p - q, w - v), 0) * factor[q, v]
+                for q in range(p + 1)
+                for v in range(w + 1)
+            )
+            for p, w in window
+        }
     return table
 
 
@@ -332,26 +312,24 @@ def _weight_table(cx: _Complex, p_max: int, w: int):
         blocks.append(split)
 
     def rank(p, t):
-        return ranks.get((p, t), 0)
+        return ranks.get((p, tuple(sorted(t))), 0)
 
     # d_p on block t maps the columns C_p(t) to the rows C_(p-1)(t).  A
-    # coordinate permutation s that fixes the window maps block t onto block
-    # s(t) and commutes with d up to sign, so only canonical blocks are
-    # ranked and the rest of each orbit reads their ranks.  The columns keep
-    # chain order, in which the mod-p pivots fill in least (see the module
-    # docstring).
-    canonical = {t: cx.canonical(t) for split in blocks for t in split}
+    # coordinate permutation s maps block t onto block s(t) and commutes
+    # with d up to sign, so only sorted blocks are ranked and the rest of
+    # each orbit reads their ranks.  The columns keep chain order, in which
+    # the mod-p pivots fill in least (see the module docstring).
     ranks = {}
     for p in range(1, p_max + 2):
         for t, cols in blocks[p].items():
             rows = blocks[p - 1].get(t)
-            if rows and canonical[t] == t:
+            if rows and list(t) == sorted(t):
                 row_of = {key: i for i, key in enumerate(rows)}
                 family = [cx.column(key, row_of) for key in cols]
                 ranks[p, t] = rank_of_vectors(family, bound=len(rows) - rank(p - 1, t))
     return {
         (p, w): sum(
-            len(chains) - rank(p, canonical[t]) - rank(p + 1, canonical[t])
+            len(chains) - rank(p, t) - rank(p + 1, t)
             for t, chains in blocks[p].items()
         )
         for p in range(p_max + 1)

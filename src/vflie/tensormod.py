@@ -21,8 +21,7 @@ Two representations of the action live here:
   sums p_k with it (den = 0, every base 1), specht.closure_basis
   applies the ladder operators D_k, which are e_k on T^n with
   lambda = mu = 0 (den = 1, every base 0).  Homology's coefficient action
-  multiplies by the same integers, from _letter_constants, on the tensor
-  factors that sit on the acting field's coordinate.
+  on L_d(1) is the same kernel, with the integers of _letter_constants.
 * ModuleElement, a {abar: Fraction} combination, with act_e, e_k on it over
   Q, is the independent reference that the kernel is checked against.
 """
@@ -139,9 +138,10 @@ def _letter_constants(desc: ModuleDescriptor, letters: int, d: int = 1):
 def _act_int(vec, step, den, base):
     """den * e_step on an integer vector {abar: int}: each z^abar goes to
     sum_i (den * a_i + base_i) z_i^step z^abar.  The one kernel behind the
-    word families (base from _letter_constants), the power sums p_step
-    (den = 0, base all 1) and the ladder operators D_step of the
-    substitution closure (den = 1, base all 0)."""
+    word families and homology's coefficients (base from
+    _letter_constants), the power sums p_step (den = 0, base all 1) and the
+    ladder operators D_step of the substitution closure (den = 1, base all
+    0)."""
     out = {}
     for expo, c in vec.items():
         for i, b in enumerate(base):

@@ -1,5 +1,6 @@
 """Whole-object references the tests check the production paths against:
-whole-slice homology, boundary matrices, decoded chains, the numeric slice
+whole-slice homology (the coordinate sum included, as one complex rather
+than a product), boundary matrices, decoded chains, the numeric slice
 determinant, the field pool and span membership."""
 
 from fractions import Fraction
@@ -8,13 +9,31 @@ import sympy
 
 from vflie import homology, spanning
 from vflie.exact import Echelon, rank_of_vectors
-from vflie.liealg import basis_of_weight
+from vflie.homology import TensorCoefficients
+from vflie.liealg import FLAVOR_COORDINATE_SUM, basis_of_weight
 from vflie.specht import _homogeneous_split
-from vflie.tensormod import ModuleDescriptor
+from vflie.tensormod import ModuleDescriptor, _letter_constants
+
+
+class CoordinateSumCoefficients(TensorCoefficients):
+    """T^n over the coordinate sum, placed factor by factor: factor j sits on
+    coordinate j, and x_c^(k+1) d_c acts on factor c alone, by the integers
+    of _letter_constants.  The trivial module (r = 0) has no factors."""
+
+    def act_scaled(self, field, expo):
+        if not self.descriptor.r:
+            return {}
+        k, c = field.weight, field.direction
+        den, (base,) = _letter_constants(self.descriptor, 1, k)
+        f = den * expo[c] + base[c]
+        return {expo[:c] + (expo[c] + k,) + expo[c + 1 :]: f} if f else {}
 
 
 def _window(alg, coeffs, p, w):
-    """A complex whose fields reach every chain of C_q(w), q <= p."""
+    """A complex whose fields reach every chain of C_q(w), q <= p; on the
+    coordinate sum its coefficients act factor by factor."""
+    if alg.flavor == FLAVOR_COORDINATE_SUM:
+        coeffs = CoordinateSumCoefficients(coeffs.descriptor)
     return homology._Complex(alg, coeffs, homology._field_top(alg, p, w))
 
 

@@ -13,7 +13,7 @@ import time
 
 import pytest
 
-from vflie import cli, spanning, tensormod
+from vflie import cli, homology, spanning, tensormod
 from vflie.cli import main
 
 
@@ -239,6 +239,19 @@ def test_specht_generator_file_checks(tmp_path):
     assert code == 0 and json.loads(out)["dims"] == [0] * 5
 
 
+def test_specht_generator_above_cutoff_refused(tmp_path):
+    # cut at 12 the closure of x looks like t/(1 - t), but x^7 y^7 adds to
+    # the dims from w = 14 on: a generator above the cutoff is refused
+    path = tmp_path / "gens.json"
+    path.write_text(json.dumps([{"1,0": "1"}, {"7,7": "1"}]))
+    argv = ["specht", "--generators", str(path), "--cutoff"]
+    assert run_cli(argv + ["12"]) == (
+        2, "", "limit: generator 2 has a component of degree 14 above the cutoff 12\n"
+    )
+    code, out, _ = run_cli(argv + ["16"])
+    assert code == 2 and json.loads(out)["dims"][12:] == [1, 1, 2, 2, 3]
+
+
 def test_specht_generator_terms_add_up(tmp_path):
     # one exponent written two ways is one term; terms that cancel are dropped
     gens = tmp_path / "gens.json"
@@ -405,6 +418,26 @@ def test_huge_homology_window_refused_at_once():
     for algebra, p_max, w_max, text in cases:
         argv = ["homology", "--algebra", algebra, "--p-max", p_max, "--w-max", w_max]
         _refused_at_once(argv, text, "20000")
+
+
+def test_coordinate_sum_refused_before_any_rank(monkeypatch):
+    # every slice of the window is counted before any table is built, so the
+    # refusal comes before the first rank of a one-variable factor
+    calls = []
+    real = homology.rank_of_vectors
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(homology, "rank_of_vectors", counting)
+    argv = ["homology", "--algebra", "Lsum:3", "--lam=1/2,-1,1/2", "--mu=0,1/3,0"]
+    argv += ["--p-max", "4", "--w-max", "12", "--dim-limit", "500"]
+    assert run_cli(argv) == (
+        2, "", "limit: chain slice (p=2, w=7) has dimension 516 > limit 500\n"
+    )
+    assert calls == []
+    assert run_cli(["homology", "--algebra", "Lsum:2", "--lam=1", "--mu=0"])[0] == 64
 
 
 def test_huge_phi_rank_refused_at_once():
