@@ -130,26 +130,17 @@ def _window(text: str) -> int:
     return value
 
 
+def _refuse_over(count: int, what: str):
+    """Refuse, before any work, an input whose count of what it would
+    enumerate exceeds the default dimension limit."""
+    if count > hm.DEFAULT_DIM_LIMIT:
+        raise ResourceLimitError("%s exceed the limit %d" % (what, hm.DEFAULT_DIM_LIMIT))
+
+
 def _check_cutoff(cutoff: int, r: int):
-    """Refuse, before any work, a cutoff whose monomial count up to it in r
-    variables, C(cutoff + r, r), exceeds the default dimension limit."""
-    if comb(cutoff + r, r) > hm.DEFAULT_DIM_LIMIT:
-        raise ResourceLimitError(
-            "cutoff %d: C(cutoff + %d, %d) monomials exceed the limit %d"
-            % (cutoff, r, r, hm.DEFAULT_DIM_LIMIT)
-        )
-
-
-def _check_slice_dim(r: int):
-    """Refuse, before any enumeration and whatever --max-r says, a rank whose
-    degree-r slice has more monomials, C(2r - 1, r), than the default
-    dimension limit."""
-    dim = comb(2 * r - 1, r) if r else 1
-    if dim > hm.DEFAULT_DIM_LIMIT:
-        raise ResourceLimitError(
-            "r = %d: C(%d, %d) = %d slice monomials exceed the limit %d"
-            % (r, 2 * r - 1, r, dim, hm.DEFAULT_DIM_LIMIT)
-        )
+    """Refuse a cutoff whose monomial count up to it in r variables,
+    C(cutoff + r, r), exceeds the default dimension limit."""
+    _refuse_over(comb(cutoff + r, r), "cutoff %d: C(cutoff + %d, %d) monomials" % (cutoff, r, r))
 
 
 def _check_weight_dim(lam):
@@ -166,11 +157,9 @@ def _check_weight_dim(lam):
         return
     n = len(lam)
     entries = comb(n, 2)
-    if entries > hm.DEFAULT_DIM_LIMIT:
-        raise ResourceLimitError(
-            "n = %d: C(%d, 2) = %d pattern entries below the top row exceed the limit %d"
-            % (n, n, entries, hm.DEFAULT_DIM_LIMIT)
-        )
+    _refuse_over(
+        entries, "n = %d: C(%d, 2) = %d pattern entries below the top row" % (n, n, entries)
+    )
     neg = [-a for a in lam]  # ascending: bisect finds the end of each run
     num = den = 1
     for i, a in enumerate(lam):
@@ -222,9 +211,12 @@ def _table_csv(table, p_max: int, w_max: int) -> str:
 
 
 def _cmd_phi(args):
-    _check_slice_dim(args.r)
+    # the degree-r slice has C(2r - 1, r) monomials, whatever --max-r says
+    r = args.r
+    dim = comb(2 * r - 1, r) if r else 1
+    _refuse_over(dim, "r = %d: C(%d, %d) = %d slice monomials" % (r, 2 * r - 1, r, dim))
     desc = _module(args)
-    coeffs = shift_determinant(args.r, desc.lam, desc.mu, max_r=args.max_r)
+    coeffs = shift_determinant(desc, max_r=args.max_r)
     poly = _format_poly(coeffs)
     payload = {**desc.to_dict(), "poly": poly, "coeffs": [format_rat(c) for c in coeffs]}
     return EXIT_OK, payload, {"text": lambda: poly + "\n"}
@@ -233,7 +225,7 @@ def _cmd_phi(args):
 def _cmd_shift(args):
     desc = _module(args)
     _check_cutoff(args.cutoff, args.r)
-    N, cert = find_good_shift(args.r, desc.lam, desc.mu, bound=args.bound, cutoff=args.cutoff)
+    N, cert = find_good_shift(desc, bound=args.bound, cutoff=args.cutoff)
     views = {"text": lambda: "N = %s  verdict = %s\n" % (",".join(map(str, N)), cert["verdict"])}
     return EXIT_OK if cert["verdict"] else EXIT_FALSE, cert, views
 
@@ -243,18 +235,12 @@ def _cmd_span(args):
     _check_cutoff(max(args.cutoff, args.gen_cutoff), args.r)
     if args.d < 1:
         raise ValueError("dilation degree must be >= 1")
-    if args.d**args.r > hm.DEFAULT_DIM_LIMIT:
-        raise ResourceLimitError(
-            "--d %d: %d^%d residue vectors exceed the limit %d"
-            % (args.d, args.d, args.r, hm.DEFAULT_DIM_LIMIT)
-        )
+    _refuse_over(args.d**args.r, "--d %d: %d^%d residue vectors" % (args.d, args.d, args.r))
     if args.d == 1:
-        S = spanning_generators(args.r, desc.lam, desc.mu, cutoff=args.gen_cutoff, bound=args.bound)
+        S = spanning_generators(desc, cutoff=args.gen_cutoff, bound=args.bound)
     else:
-        S = dilated_generators(
-            args.r, desc.lam, desc.mu, args.d, cutoff=args.gen_cutoff, bound=args.bound
-        )
-    cert = spanning_certificate(S, args.r, desc.lam, desc.mu, args.cutoff, d=args.d)
+        S = dilated_generators(desc, args.d, cutoff=args.gen_cutoff, bound=args.bound)
+    cert = spanning_certificate(S, desc, args.cutoff, d=args.d)
     views = {
         "text": lambda: _lines(
             ["generators (%d):" % len(cert["generators"])]
@@ -269,7 +255,7 @@ def _cmd_hilbert(args):
     desc = _module(args)
     gen_cutoff = max(args.r, DEFAULT_CUTOFF)
     _check_cutoff(max(args.cutoff, gen_cutoff), args.r)
-    S = spanning_generators(args.r, desc.lam, desc.mu, cutoff=gen_cutoff, bound=args.bound)
+    S = spanning_generators(desc, cutoff=gen_cutoff, bound=args.bound)
     pres = associated_graded_presentation(desc, list(S), args.cutoff)
     gb = module_groebner(pres)
     if not groebner_self_test(gb):

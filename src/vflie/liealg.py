@@ -6,6 +6,10 @@ fields, its subalgebras L_d(n) spanned by fields with |a| >= d + 1 (weight
 >= d), and for n coordinates the direct sum of the one-variable L_1's acting
 coordinatewise.  In one variable e_k denotes z^{k+1} d/dz, with
 [e_k, e_m] = (m - k) e_{k+m} and weight k.
+
+basis_of_weight enumerates the fields of W(n) and L_d(n).  The coordinate
+sum names no basis here: its homology is the Kuenneth product of one-variable
+tables (see homology), which never numbers a field of the sum.
 """
 
 from __future__ import annotations
@@ -17,7 +21,6 @@ from ._enum import monomials_of_degree
 __all__ = [
     "VFBasis",
     "AlgebraDescriptor",
-    "coordinate_e",
     "bracket_basis",
     "basis_of_weight",
 ]
@@ -43,17 +46,6 @@ class VFBasis:
     @property
     def weight(self) -> int:
         return sum(self.exponent) - 1
-
-    def sort_key(self):
-        return (sum(self.exponent), self.exponent, self.direction)
-
-
-def coordinate_e(k: int, i: int, n: int) -> VFBasis:
-    """The field x_i^(k+1) d_i inside n variables (i is 0-based)."""
-    if k < -1:
-        raise ValueError("coordinate e_k requires k >= -1")
-    expo = tuple(k + 1 if j == i else 0 for j in range(n))
-    return VFBasis(expo, i)
 
 
 def bracket_basis(u: VFBasis, v: VFBasis):
@@ -130,20 +122,15 @@ class AlgebraDescriptor:
 
 
 def basis_of_weight(alg: AlgebraDescriptor, w: int):
-    """Ordered basis of the weight-w component of the algebra.
-
-    Sorted by (degree, exponent, direction); for L_d(n) the count is
-    n * binom(w + n, n - 1) monomials of degree w+1 when w >= d.
-    """
+    """Ordered basis of the weight-w component of W(n) or L_d(n): the
+    n * binom(w + n, n - 1) fields x^a d_i with |a| = w + 1 when w is at
+    least the lowest weight, in (exponent, direction) order, the order that
+    homology's chain keys number them in."""
+    if alg.flavor == FLAVOR_COORDINATE_SUM:
+        raise ValueError("the coordinate sum has no enumerated basis; its homology is a product")
     if w < alg.min_weight:
         return []
-    out = []
-    if alg.flavor == FLAVOR_COORDINATE_SUM:
-        for i in range(alg.n):
-            out.append(coordinate_e(w, i, alg.n))
-    else:
-        for expo in monomials_of_degree(alg.n, w + 1):
-            out.extend(VFBasis(tuple(expo), i) for i in range(alg.n))
-    out.sort(key=VFBasis.sort_key)
-    return out
+    return [
+        VFBasis(expo, i) for expo in monomials_of_degree(alg.n, w + 1) for i in range(alg.n)
+    ]
 

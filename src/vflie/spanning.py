@@ -12,6 +12,10 @@ This module computes those determinants exactly, searches constructively for
 shifts that make every verified slice a basis, and builds finite generating
 sets by peeling one coordinate at a time.  Every positive answer is backed
 by an exact rank certificate; nothing is inferred from genericity.
+
+Every entry point is told its module T^r_(lam, mu) by one
+tensormod.ModuleDescriptor, as word_vectors is; the shifted modules, the
+peeled layers and the residue modules of a dilation are descriptors too.
 """
 
 from __future__ import annotations
@@ -122,12 +126,12 @@ def power_basis_matrix(r: int) -> SparseMat:
     return mat
 
 
-@lru_cache(maxsize=16)
-def _power_basis_det(r: int) -> Fraction:
-    return power_basis_matrix(r).det()
+def _shifted(desc, N):
+    """T^r with the same lambdas and mu shifted by the integer vector N."""
+    return ModuleDescriptor(desc.r, desc.lam, tuple(m + n for m, n in zip(desc.mu, N)))
 
 
-def shift_determinant(r: int, lam, mu, max_r: int = MAX_INTERPOLATION_R) -> list:
+def shift_determinant(desc, max_r: int = MAX_INTERPOLATION_R) -> list:
     """The slice determinant along the diagonal ray: the univariate
     polynomial N -> det at parameters (lam, mu + N*(1,...,1)), as its
     ascending list of Fraction coefficients.
@@ -139,12 +143,11 @@ def shift_determinant(r: int, lam, mu, max_r: int = MAX_INTERPOLATION_R) -> list
     the common denominator den), divided once by den**degree * det(power
     basis matrix).
     """
+    r = desc.r
     if r > max_r:
         raise ResourceLimitError(
             "slice determinant interpolation capped at r <= %d (got r = %d)" % (max_r, r)
         )
-    lam = tuple(Fraction(x) for x in lam)
-    mu = tuple(Fraction(x) for x in mu)
     if r == 0:
         return [Fraction(1)]
     row_of, cols = _slice_index(r)
@@ -153,10 +156,7 @@ def shift_determinant(r: int, lam, mu, max_r: int = MAX_INTERPOLATION_R) -> list
     # t: each of a word's at most r letters multiplies by a factor linear in
     # t.  So the matrices at t = 0..r fix each entry's forward differences,
     # which continue it to every later t by additions alone.
-    first = [
-        _newton_data(ModuleDescriptor(r, lam, tuple(m + t for m in mu)), row_of, cols).entries
-        for t in range(r + 1)
-    ]
+    first = [_newton_data(_shifted(desc, (t,) * r), row_of, cols).entries for t in range(r + 1)]
     diffs = {}
     for key in set().union(*first):
         d = [entries.get(key, 0) for entries in first]
@@ -172,7 +172,7 @@ def shift_determinant(r: int, lam, mu, max_r: int = MAX_INTERPOLATION_R) -> list
         for d in diffs.values():
             for j in range(r):
                 d[j] += d[j + 1]
-    scale = ModuleDescriptor(r, lam, mu).den ** degree * _power_basis_det(r)
+    scale = desc.den ** degree * power_basis_matrix(r).det()
     return [c / scale for c in interpolate(values)]
 
 
@@ -211,7 +211,7 @@ def _slice_entries(desc, sources, cutoff, d=1, basis=False):
     return weights, all(entry["ok"] for entry in weights)
 
 
-def graded_basis_certificate(r: int, lam, mu, N, cutoff: int) -> dict:
+def graded_basis_certificate(desc, N, cutoff: int) -> dict:
     """Per-weight rank certificate for the shifted word family.
 
     For each weight w <= cutoff, the candidate vectors are
@@ -220,14 +220,12 @@ def graded_basis_certificate(r: int, lam, mu, N, cutoff: int) -> dict:
     count equals binom(w+r-1, r-1) and the vectors are linearly
     independent.
     """
-    if cutoff < r:
+    if cutoff < desc.r:
         raise ValueError("cutoff must be at least r")
     N = tuple(int(x) for x in N)
-    if len(N) != r or any(x < 0 for x in N):
+    if len(N) != desc.r or any(x < 0 for x in N):
         raise ValueError("shift must be a nonnegative integer r-vector")
-    desc = ModuleDescriptor(r, lam, mu)
-    shifted = ModuleDescriptor(r, desc.lam, tuple(m + s for m, s in zip(desc.mu, N)))
-    weights, verdict = _slice_entries(shifted, None, cutoff, basis=True)
+    weights, verdict = _slice_entries(_shifted(desc, N), None, cutoff, basis=True)
     return {
         **desc.to_dict(),
         "N": list(N),
@@ -241,31 +239,24 @@ def graded_basis_certificate(r: int, lam, mu, N, cutoff: int) -> dict:
 # shift search
 
 
-def _ray_obstruction(r, lam, mu, N, window):
+def _ray_obstruction(desc, N, window):
     """First (s, k) with vanishing slice determinant along the coordinate
     rays of the shifted prefix parameters, or None if all checks pass.  The
     Newton matrix of T^s is square with the weight-s word family as columns,
     so its determinant vanishes exactly when that slice's rank falls short."""
-    lam = tuple(Fraction(x) for x in lam)
-    shifted = tuple(Fraction(m) + n for m, n in zip(mu, N))
-    for s in range(1, r + 1):
+    shifted = _shifted(desc, N).mu
+    for s in range(1, desc.r + 1):
         mu_p = list(shifted[:s])
         base = mu_p[s - 1]
         for k in range(window + 1):
             mu_p[s - 1] = base + k
-            dim, _, rank = _slice_rank(ModuleDescriptor(s, lam[:s], mu_p), None, s)
+            dim, _, rank = _slice_rank(ModuleDescriptor(s, desc.lam[:s], mu_p), None, s)
             if rank < dim:
                 return {"s": s, "k": k, "mu": [format_rat(x) for x in mu_p]}
     return None
 
 
-def find_good_shift(
-    r: int,
-    lam,
-    mu,
-    bound: int = DEFAULT_BOUND,
-    cutoff: int = DEFAULT_CUTOFF,
-):
+def find_good_shift(desc, bound: int = DEFAULT_BOUND, cutoff: int = DEFAULT_CUTOFF):
     """Search for a shift N making the word family a verified graded basis;
     returns (N, the graded_basis_certificate that proved N).
 
@@ -277,15 +268,16 @@ def find_good_shift(
     Raises SearchExhaustedError with the blocking report when the budget runs
     out.
     """
+    r = desc.r
     failures = []
 
     def attempt(N):
         """The certificate that proves N, or None once N's failure is recorded."""
-        obstruction = _ray_obstruction(r, lam, mu, N, cutoff)
+        obstruction = _ray_obstruction(desc, N, cutoff)
         if obstruction is not None:
             failures.append({"N": list(N), "vanishing": obstruction})
             return None
-        cert = graded_basis_certificate(r, lam, mu, N, cutoff)
+        cert = graded_basis_certificate(desc, N, cutoff)
         if cert["verdict"]:
             return cert
         failures.append({"N": list(N), "vanishing": None, "rank_failure": True})
@@ -318,11 +310,7 @@ def find_good_shift(
 
 
 def spanning_generators(
-    r: int,
-    lam,
-    mu,
-    cutoff: int = DEFAULT_CUTOFF,
-    bound: int = DEFAULT_BOUND,
+    desc, cutoff: int = DEFAULT_CUTOFF, bound: int = DEFAULT_BOUND
 ) -> GeneratorSet:
     """Finite monomial set S such that words e_1^(b_1) ... e_r^(b_r) applied
     to S span T^r_(lam, mu), certified up to the cutoff by spanning_certificate.
@@ -333,36 +321,28 @@ def spanning_generators(
     shifted), handled recursively; the layer generators are lifted back and
     the box {N + a : a_i < i} covers the embedded copy.
     """
-    lam = tuple(Fraction(x) for x in lam)
-    mu = tuple(Fraction(x) for x in mu)
+    r = desc.r
     if r == 0:
         return GeneratorSet(((),))
-    N, _ = find_good_shift(r, lam, mu, bound=bound, cutoff=cutoff)
+    N, _ = find_good_shift(desc, bound=bound, cutoff=cutoff)
+    shifted = _shifted(desc, N).mu
     gens = set()
     for i in range(r):
-        lam_layer = lam[:i] + lam[i + 1 :]
-        mu_layer = tuple(
-            mu[j] + N[j] for j in range(i)
-        ) + tuple(mu[j] for j in range(i + 1, r))
         if N[i] == 0:
             continue
-        sub = spanning_generators(r - 1, lam_layer, mu_layer, cutoff, bound)
+        layer = ModuleDescriptor(
+            r - 1, desc.lam[:i] + desc.lam[i + 1 :], shifted[:i] + desc.mu[i + 1 :]
+        )
+        sub = spanning_generators(layer, cutoff, bound)
         for k in range(N[i]):
             for s in sub:
-                lifted = (
-                    tuple(N[j] + s[j] for j in range(i))
-                    + (k,)
-                    + tuple(s[j - 1] for j in range(i + 1, r))
-                )
-                gens.add(lifted)
+                gens.add(tuple(N[j] + s[j] for j in range(i)) + (k,) + s[i:])
     for tail in itertools.product(*(range(i + 1) for i in range(r))):
         gens.add(tuple(n + a for n, a in zip(N, tail)))
     return GeneratorSet(tuple(gens))
 
 
-def spanning_certificate(
-    S, r: int, lam, mu, cutoff: int, d: int = 1
-) -> dict:
+def spanning_certificate(S, desc, cutoff: int, d: int = 1) -> dict:
     """Per-weight rank certificate that words on S span every slice.
 
     Words use e_d, e_2d, ..., e_rd (d = 1 is the plain case); slice w passes
@@ -371,7 +351,6 @@ def spanning_certificate(
     """
     if d < 1:
         raise ValueError("dilation degree must be >= 1")
-    desc = ModuleDescriptor(r, tuple(lam), tuple(mu))
     exponents = GeneratorSet(tuple(tuple(s) for s in S)).exponents
     weights, verdict = _slice_entries(desc, exponents, cutoff, d)
     return {
@@ -385,12 +364,7 @@ def spanning_certificate(
 
 
 def dilated_generators(
-    r: int,
-    lam,
-    mu,
-    d: int,
-    cutoff: int = DEFAULT_CUTOFF,
-    bound: int = DEFAULT_BOUND,
+    desc, d: int, cutoff: int = DEFAULT_CUTOFF, bound: int = DEFAULT_BOUND
 ) -> GeneratorSet:
     """Generator set for the action restricted to e_d, e_2d, ..., e_rd.
 
@@ -403,18 +377,15 @@ def dilated_generators(
     """
     if d < 1:
         raise ValueError("dilation degree must be >= 1")
-    lam = tuple(Fraction(x) for x in lam)
-    mu = tuple(Fraction(x) for x in mu)
+    r, lam, mu = desc.r, desc.lam, desc.mu
     if r == 0:
         return GeneratorSet(((),))
     gens = set()
     inner_cutoff = max(r, (cutoff + d - 1) // d + r)
     for residue in itertools.product(range(d), repeat=r):
-        mu_res = tuple(
-            (mu[i] + residue[i] + lam[i]) / d - lam[i] for i in range(r)
+        sub = ModuleDescriptor(
+            r, lam, tuple((mu[i] + residue[i] + lam[i]) / d - lam[i] for i in range(r))
         )
-        sub = spanning_generators(r, lam, mu_res, cutoff=inner_cutoff, bound=bound)
-        for t in sub:
+        for t in spanning_generators(sub, cutoff=inner_cutoff, bound=bound):
             gens.add(tuple(d * t[i] + residue[i] for i in range(r)))
     return GeneratorSet(tuple(gens))
-

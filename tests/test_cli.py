@@ -12,6 +12,7 @@ import sys
 import time
 
 import pytest
+from _reference import weyl_dim
 
 from vflie import cli, homology, spanning, tensormod
 from vflie.cli import main
@@ -147,14 +148,6 @@ def test_weights_long_inputs():
     assert all(w["mult"] == 1 and sorted(w["alpha"]) == [0] * 59 + [1] for w in payload["weights"])
 
 
-def _weyl_dim(lam):
-    num = den = 1
-    for i in range(len(lam)):
-        for j in range(i + 1, len(lam)):
-            num, den = num * (lam[i] - lam[j] + j - i), den * (j - i)
-    return num // den
-
-
 def test_weight_dim_guard():
     # the guard refuses exactly the dominant weights above the limit
     rng = random.Random(15)
@@ -166,7 +159,7 @@ def test_weight_dim_guard():
             cli._check_weight_dim(lam)
         except spanning.ResourceLimitError:
             refused = True
-        assert refused == (_weyl_dim(lam) > 20000), lam
+        assert refused == (weyl_dim(lam) > 20000), lam
         outcomes.add(refused)
     assert outcomes == {True, False}
     # zeros have only factors 1; a strictly decreasing weight passes the
@@ -331,8 +324,9 @@ def test_zero_denominator_exit_64():
 
 def test_shift_certificate_computed_once(monkeypatch):
     # lam = 1 needs no shift: the search proves N = (0,) at t = 0
+    desc = tensormod.ModuleDescriptor(1, (1,), (0,))
     expected = json.dumps(
-        spanning.graded_basis_certificate(1, (1,), (0,), (0,), 6), sort_keys=True, indent=2
+        spanning.graded_basis_certificate(desc, (0,), 6), sort_keys=True, indent=2
     ) + "\n"
     real = spanning.graded_basis_certificate
     calls = []

@@ -6,7 +6,7 @@ import json
 from fractions import Fraction
 
 import pytest
-from _reference import boundary_matrix, chain_list, field_pool, homology_dim
+from _reference import boundary_matrix, chain_list, field_pool, homology_dim, window
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -265,7 +265,7 @@ def test_certified_table_matches_exact_ranks(monkeypatch, prime):
 def test_chain_dims_count_the_chains():
     # the counts the size limit is checked on, before any field is numbered
     for alg, coeffs, p_max, w_max in WINDOWS:
-        cx = homology._Complex(alg, coeffs, homology._field_top(alg, p_max + 1, w_max))
+        cx = window(alg, coeffs, p_max + 1, w_max)
         counts = homology._chain_dims(alg, coeffs, p_max + 1)
         for w, dims in zip(range(w_max + 1), counts):
             assert dims == [len(cx.chains(p, w)) for p in range(p_max + 2)], (alg.label(), w)
@@ -274,7 +274,7 @@ def test_chain_dims_count_the_chains():
 def _blocks_with_boundary(alg, coeffs, p_max, w_max):
     """(p, w, t) for every block whose d_p has rows and columns, with p in
     1..p_max + 1 as the table ranks them."""
-    cx = homology._Complex(alg, coeffs, homology._field_top(alg, p_max + 1, w_max))
+    cx = window(alg, coeffs, p_max + 1, w_max)
     out = []
     for w in range(w_max + 1):
         tori = [{cx.torus(key) for key in cx.chains(p, w)} for p in range(p_max + 2)]
@@ -305,7 +305,7 @@ def test_boundary_preserves_torus_weight():
     for alg, coeffs, p_max, w_max in WINDOWS:
         if alg.flavor == "Lsum":
             continue
-        cx = homology._Complex(alg, coeffs, homology._field_top(alg, p_max + 1, w_max))
+        cx = window(alg, coeffs, p_max + 1, w_max)
         entries = 0
         for w in range(w_max + 1):
             for p in range(1, p_max + 2):

@@ -3,30 +3,14 @@
 import random
 
 import pytest
-from _reference import field_pool
+from _reference import bracket, field_pool
 
-from vflie.liealg import (
-    AlgebraDescriptor,
-    VFBasis,
-    basis_of_weight,
-    bracket_basis,
-    coordinate_e,
-)
+from vflie.liealg import AlgebraDescriptor, VFBasis, basis_of_weight, bracket_basis
 
 
 def _e(k):
     """The one-variable field e_k = z^(k+1) d/dz."""
-    return coordinate_e(k, 0, 1)
-
-
-def _bracket(u, v):
-    """[u, v] of {VFBasis: int} combinations, bilinear over bracket_basis."""
-    out = {}
-    for a, ca in u.items():
-        for b, cb in v.items():
-            for f, c in bracket_basis(a, b):
-                out[f] = out.get(f, 0) + ca * cb * c
-    return {f: c for f, c in out.items() if c}
+    return VFBasis((k + 1,), 0)
 
 
 def _combination(rng, pool, terms, span):
@@ -46,7 +30,7 @@ def test_basis_weights():
     assert _e(3).weight == 3
     b = VFBasis((2, 1), 0)
     assert b.weight == 2
-    assert coordinate_e(2, 1, 2).weight == 2
+    assert VFBasis((0, 3), 1).weight == 2
 
 
 def test_bracket_weight_additive():
@@ -68,7 +52,7 @@ def test_bracket_antisymmetry():
     for _ in range(40):
         u = _combination(rng, pool, 2, 3)
         v = _combination(rng, pool, 2, 3)
-        uv, vu = _bracket(u, v), _bracket(v, u)
+        uv, vu = bracket(u, v), bracket(v, u)
         assert uv == {f: -c for f, c in vu.items()}
     for a in pool:
         assert bracket_basis(a, a) == ()
@@ -82,7 +66,7 @@ def test_jacobi_random_w3():
         u, v, w = (_combination(rng, pool, 2, 2) for _ in range(3))
         total = {}
         for x, y, z in ((u, v, w), (v, w, u), (w, u, v)):
-            for f, c in _bracket(_bracket(x, y), z).items():
+            for f, c in bracket(bracket(x, y), z).items():
                 total[f] = total.get(f, 0) + c
         assert not any(total.values()), (u, v, w)
 
@@ -119,8 +103,27 @@ def test_basis_of_weight_dimensions():
     l2 = AlgebraDescriptor(1, d=2, flavor="L")
     assert [len(basis_of_weight(l2, w)) for w in range(0, 5)] == [0, 0, 1, 1, 1]
     ls = AlgebraDescriptor(2, d=1, flavor="Lsum")
-    # coordinate-sum flavor: one field per coordinate per weight k >= 1
-    assert [len(basis_of_weight(ls, w)) for w in range(0, 4)] == [0, 2, 2, 2]
+    # coordinate-sum flavor: one field per coordinate per weight k >= 1, which
+    # only the reference numbers; the library enumerates no basis of the sum
+    assert [sum(f.weight == w for f in field_pool(ls, 3)) for w in range(0, 4)] == [0, 2, 2, 2]
+    with pytest.raises(ValueError, match="coordinate sum"):
+        basis_of_weight(ls, 1)
+
+
+def test_basis_of_weight_is_in_exponent_direction_order():
+    # homology numbers fields, and so keys chains, in this order
+    for label, alg in (
+        ("W:2", AlgebraDescriptor(2, d=0, flavor="W")),
+        ("W:3", AlgebraDescriptor(3, d=0, flavor="W")),
+        ("L1:2", AlgebraDescriptor(2, d=1, flavor="L")),
+        ("L2:3", AlgebraDescriptor(3, d=2, flavor="L")),
+    ):
+        assert alg.label() == label
+        for w in range(alg.min_weight, 5):
+            basis = basis_of_weight(alg, w)
+            keys = [(f.exponent, f.direction) for f in basis]
+            assert keys == sorted(set(keys)), (label, w)
+            assert all(f.weight == w for f in basis), (label, w)
 
 
 def test_contains_and_membership():
@@ -129,5 +132,6 @@ def test_contains_and_membership():
     assert basis_of_weight(l1, 1) == [_e(1)]
     assert basis_of_weight(l1, 0) == basis_of_weight(l1, -1) == []
     ls = AlgebraDescriptor(2, d=1, flavor="Lsum")
-    assert set(basis_of_weight(ls, 2)) == {coordinate_e(2, 0, 2), coordinate_e(2, 1, 2)}
+    weight_two = {f for f in field_pool(ls, 2) if f.weight == 2}
+    assert weight_two == {VFBasis((3, 0), 0), VFBasis((0, 3), 1)}
     assert VFBasis((2, 1), 0) not in field_pool(ls, 4)

@@ -37,7 +37,7 @@ def test_free_rank_one_module():
 
 def test_rank_two_trivial_parameters():
     desc = ModuleDescriptor(2, (Fraction(0),) * 2, (Fraction(0),) * 2)
-    S = [tuple(s) for s in spanning_generators(2, desc.lam, desc.mu)]
+    S = [tuple(s) for s in spanning_generators(desc)]
     pres = associated_graded_presentation(desc, S, 10)
     gb = module_groebner(pres)
     assert groebner_self_test(gb)
@@ -61,7 +61,7 @@ def test_relations_are_weight_homogeneous():
     # zero parameters, and half-integer ones, whose columns are scaled by 2
     for lam, mu in (((0, 0), (0, 0)), ((Fraction(-1, 2), 0), (Fraction(1, 2), 0))):
         desc = ModuleDescriptor(2, lam, mu)
-        S = [tuple(s) for s in spanning_generators(2, desc.lam, desc.mu)]
+        S = [tuple(s) for s in spanning_generators(desc)]
         pres = associated_graded_presentation(desc, S, 8)
         gb = module_groebner(pres)
         assert pres.relations and gb.relations
@@ -78,7 +78,7 @@ def test_series_matches_module_dimensions_random():
         lam = tuple(Fraction(rng.randint(-2, 2), rng.randint(1, 2)) for _ in range(r))
         mu = tuple(Fraction(rng.randint(-2, 2), rng.randint(1, 2)) for _ in range(r))
         desc = ModuleDescriptor(r, lam, mu)
-        S = [tuple(s) for s in spanning_generators(r, lam, mu)]
+        S = [tuple(s) for s in spanning_generators(desc)]
         pres = associated_graded_presentation(desc, S, 9)
         gb = module_groebner(pres)
         assert groebner_self_test(gb)

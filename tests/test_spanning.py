@@ -27,6 +27,9 @@ from vflie.spanning import (
     spanning_generators,
 )
 
+ZERO_1 = ModuleDescriptor(1, (0,), (0,))
+ZERO_2 = ModuleDescriptor(2, (0, 0), (0, 0))
+
 
 def _rand_rat(rng, span=3):
     return Fraction(rng.randint(-span, span), rng.randint(1, 3))
@@ -44,12 +47,12 @@ def test_shift_determinant_rank_one():
     rng = random.Random(12)
     for _ in range(10):
         lam, mu = _rand_rat(rng), _rand_rat(rng)
-        assert shift_determinant(1, (lam,), (mu,)) == [mu + 2 * lam, 1]
-    assert shift_determinant(0, (), ()) == [1]
+        assert shift_determinant(ModuleDescriptor(1, (lam,), (mu,))) == [mu + 2 * lam, 1]
+    assert shift_determinant(ModuleDescriptor(0, (), ())) == [1]
 
 
 def test_shift_determinant_rank_two_trivial():
-    coeffs = shift_determinant(2, (Fraction(0), Fraction(0)), (Fraction(0), Fraction(0)))
+    coeffs = shift_determinant(ModuleDescriptor(2, (Fraction(0),) * 2, (Fraction(0),) * 2))
     assert coeffs == [0, 0, 0, 1, 1]  # N^4 + N^3
     assert all(type(c) is Fraction for c in coeffs)
 
@@ -60,7 +63,7 @@ def test_shift_determinant_monic():
         for _ in range(3):
             lam = tuple(_rand_rat(rng) for _ in range(r))
             mu = tuple(_rand_rat(rng) for _ in range(r))
-            assert shift_determinant(r, lam, mu)[-1] == 1
+            assert shift_determinant(ModuleDescriptor(r, lam, mu))[-1] == 1
 
 
 def test_shift_determinant_value_matches_polynomial():
@@ -68,13 +71,13 @@ def test_shift_determinant_value_matches_polynomial():
     for r in (1, 2):
         lam = tuple(_rand_rat(rng) for _ in range(r))
         mu = tuple(_rand_rat(rng) for _ in range(r))
-        coeffs = shift_determinant(r, lam, mu)
+        coeffs = shift_determinant(ModuleDescriptor(r, lam, mu))
         for t in range(4):
-            shifted_mu = tuple(m + t for m in mu)
-            assert shift_determinant_value(r, lam, shifted_mu) == _horner(coeffs, t)
+            shifted = ModuleDescriptor(r, lam, tuple(m + t for m in mu))
+            assert shift_determinant_value(shifted) == _horner(coeffs, t)
     # lists, tuples, ints and Fractions are the same parameters
-    assert shift_determinant_value(1, (Fraction(1, 2),), (3,)) == Fraction(4)
-    assert shift_determinant_value(1, [Fraction(1, 2)], [Fraction(3)]) == Fraction(4)
+    for lam, mu in (((Fraction(1, 2),), (3,)), ([Fraction(1, 2)], [Fraction(3)])):
+        assert shift_determinant_value(ModuleDescriptor(1, lam, mu)) == Fraction(4)
 
 
 def _first_vanishing(r, lam, mu, N, window):
@@ -84,7 +87,7 @@ def _first_vanishing(r, lam, mu, N, window):
     for s in range(1, r + 1):
         for k in range(window + 1):
             mu_p = shifted[: s - 1] + [shifted[s - 1] + k]
-            if shift_determinant_value(s, lam[:s], mu_p) == 0:
+            if shift_determinant_value(ModuleDescriptor(s, lam[:s], mu_p)) == 0:
                 return {"s": s, "k": k, "mu": [exact.format_rat(x) for x in mu_p]}
     return None
 
@@ -101,10 +104,10 @@ def test_ray_obstruction_matches_determinants():
         cases.append((r, lam, mu, N, rng.randint(0, 4)))
     outcomes = set()
     for r, lam, mu, N, window in cases:
-        found = spanning._ray_obstruction(r, lam, mu, N, window)
+        found = spanning._ray_obstruction(ModuleDescriptor(r, lam, mu), N, window)
         assert found == _first_vanishing(r, lam, mu, N, window), (r, lam, mu, N, window)
         outcomes.add(found is None)
-    assert spanning._ray_obstruction(1, (0,), (0,), (0,), 3)["k"] == 0
+    assert spanning._ray_obstruction(ModuleDescriptor(1, (0,), (0,)), (0,), 3)["k"] == 0
     assert outcomes == {True, False}
 
 
@@ -185,24 +188,23 @@ def test_power_basis_matrix_matches_mpoly_products():
 def test_power_basis_matrix_is_not_shared():
     # every call builds a fresh matrix: clearing one leaves the power-basis
     # determinant that shift_determinant divides by, here of N^3 (N + 1)
-    spanning._power_basis_det.cache_clear()
     power_basis_matrix(2).entries.clear()
-    assert shift_determinant(2, (0, 0), (0, 0)) == [0, 0, 0, 1, 1]
+    assert shift_determinant(ModuleDescriptor(2, (0, 0), (0, 0))) == [0, 0, 0, 1, 1]
 
 
 def test_find_good_shift_small_cases():
-    assert find_good_shift(1, (Fraction(0),), (Fraction(0),))[0] == (1,)
-    assert find_good_shift(1, (Fraction(1),), (Fraction(0),))[0] == (0,)
-    N, cert = find_good_shift(2, (Fraction(0), Fraction(0)), (Fraction(0), Fraction(0)))
+    assert find_good_shift(ZERO_1)[0] == (1,)
+    assert find_good_shift(ModuleDescriptor(1, (Fraction(1),), (Fraction(0),)))[0] == (0,)
+    N, cert = find_good_shift(ZERO_2)
     assert cert["verdict"] and cert["N"] == list(N)
-    assert graded_basis_certificate(2, (Fraction(0),) * 2, (Fraction(0),) * 2, N, 8)["verdict"]
+    assert graded_basis_certificate(ZERO_2, N, 8)["verdict"]
     # rank 0 needs no search: the empty shift, proved at t = 0
-    assert find_good_shift(0, (), ())[0] == ()
+    assert find_good_shift(ModuleDescriptor(0, (), ()))[0] == ()
 
 
 def test_find_good_shift_exhaustion():
     with pytest.raises(SearchExhaustedError) as info:
-        find_good_shift(1, (Fraction(0),), (Fraction(0),), bound=0)
+        find_good_shift(ZERO_1, bound=0)
     assert info.value.report  # the failure report lists attempted shifts
 
 
@@ -233,8 +235,8 @@ def test_find_good_shift_greedy_phase():
     # of both diagonal shifts within bound 1, (0, 0) at k = 1 and (1, 1) at
     # k = 0, so the shift comes from the greedy increments
     lam, mu = (Fraction(-1, 2), Fraction(1, 2)), (Fraction(0), Fraction(1))
-    assert shift_determinant(1, lam[:1], mu[:1]) == [-1, 1]
-    N, cert = find_good_shift(2, lam, mu, bound=1, cutoff=4)
+    assert shift_determinant(ModuleDescriptor(1, lam[:1], mu[:1])) == [-1, 1]
+    N, cert = find_good_shift(ModuleDescriptor(2, lam, mu), bound=1, cutoff=4)
     assert N == (2, 0) and cert["N"] == [2, 0] and cert["verdict"]
     shifted = tuple(m + n for m, n in zip(mu, N))
     expected = [(w + 1, w + 1) for w in range(5)]  # dim T^2_w = w + 1
@@ -243,26 +245,26 @@ def test_find_good_shift_greedy_phase():
 
 
 def test_graded_basis_certificate_shape():
-    cert = graded_basis_certificate(1, (Fraction(0),), (Fraction(0),), (1,), 6)
+    cert = graded_basis_certificate(ZERO_1, (1,), 6)
     assert cert["verdict"] is True
     assert cert["N"] == [1]
     assert len(cert["weights"]) == 7
     for entry in cert["weights"]:
         assert entry["rank"] == entry["dimension"]
     with pytest.raises(ValueError):
-        graded_basis_certificate(3, (Fraction(0),) * 3, (Fraction(0),) * 3, (1, 1, 1), 2)
+        graded_basis_certificate(ModuleDescriptor(3, (0,) * 3, (0,) * 3), (1, 1, 1), 2)
 
 
 def test_spanning_generators_rank_one():
-    S = spanning_generators(1, (Fraction(0),), (Fraction(0),))
+    S = spanning_generators(ZERO_1)
     assert [list(e) for e in S] == [[0], [1]]
-    assert spanning_certificate(S, 1, (Fraction(0),), (Fraction(0),), 12)["verdict"]
+    assert spanning_certificate(S, ZERO_1, 12)["verdict"]
 
 
 def test_spanning_generators_rank_two_trivial():
-    S = spanning_generators(2, (Fraction(0),) * 2, (Fraction(0),) * 2)
+    S = spanning_generators(ZERO_2)
     assert [list(e) for e in S] == [[0, 0], [0, 1], [1, 0], [1, 1], [1, 2]]
-    assert spanning_certificate(S, 2, (Fraction(0),) * 2, (Fraction(0),) * 2, 10)["verdict"]
+    assert spanning_certificate(S, ZERO_2, 10)["verdict"]
 
 
 def test_spanning_random_parameters():
@@ -271,29 +273,28 @@ def test_spanning_random_parameters():
         r = rng.randint(1, 3)
         lam = tuple(_rand_rat(rng) for _ in range(r))
         mu = tuple(_rand_rat(rng) for _ in range(r))
-        S = spanning_generators(r, lam, mu)
-        cert = spanning_certificate(S, r, lam, mu, 8)
+        desc = ModuleDescriptor(r, lam, mu)
+        S = spanning_generators(desc)
+        cert = spanning_certificate(S, desc, 8)
         assert cert["verdict"], (r, lam, mu)
         assert cert["d"] == 1
         assert all(entry["ok"] for entry in cert["weights"])
 
 
 def test_dilated_generators_rank_one():
-    S = dilated_generators(1, (Fraction(0),), (Fraction(0),), 2)
+    S = dilated_generators(ZERO_1, 2)
     assert [list(e) for e in S] == [[0], [1], [2]]
-    assert spanning_certificate(S, 1, (Fraction(0),), (Fraction(0),), 10, d=2)["verdict"]
+    assert spanning_certificate(S, ZERO_1, 10, d=2)["verdict"]
 
 
 def test_dilated_generators_rank_two():
-    lam = (Fraction(0), Fraction(0))
-    mu = (Fraction(0), Fraction(0))
-    S = dilated_generators(2, lam, mu, 2)
-    assert spanning_certificate(S, 2, lam, mu, 8, d=2)["verdict"]
+    S = dilated_generators(ZERO_2, 2)
+    assert spanning_certificate(S, ZERO_2, 8, d=2)["verdict"]
 
 
 def test_spanning_certificate_dilated_shape():
-    S = dilated_generators(1, (Fraction(0),), (Fraction(0),), 3)
-    cert = spanning_certificate(S, 1, (Fraction(0),), (Fraction(0),), 9, d=3)
+    S = dilated_generators(ZERO_1, 3)
+    cert = spanning_certificate(S, ZERO_1, 9, d=3)
     assert cert["d"] == 3
     assert cert["verdict"]
 
@@ -311,12 +312,13 @@ def _certificates():
     spanning._slice_rank.cache_clear()  # rank every slice in the current mode
     out = []
     for r, lam, mu, N, cutoff in CERTIFICATE_CASES:
-        out.append(graded_basis_certificate(r, lam, mu, N, cutoff))
+        desc = ModuleDescriptor(r, lam, mu)
+        out.append(graded_basis_certificate(desc, N, cutoff))
         # the certificate of the searched shift records that shift as "N"
-        out.append(find_good_shift(r, lam, mu, cutoff=cutoff)[1])
+        out.append(find_good_shift(desc, cutoff=cutoff)[1])
         S = [tuple(N[i] + (j == i) for j in range(r)) for i in range(r)] + [tuple(N)]
-        out.append(spanning_certificate(S, r, lam, mu, cutoff))
-        out.append(spanning_certificate(S, r, lam, mu, cutoff, d=2))
+        out.append(spanning_certificate(S, desc, cutoff))
+        out.append(spanning_certificate(S, desc, cutoff, d=2))
     return out
 
 
@@ -381,7 +383,8 @@ def test_shift_determinant_matches_symbolic_det():
         newton = newton.convert_to(sympy.QQ[N])
         det = newton.domain.to_sympy(newton.det()) / power.det()
         expected = sympy.Poly(det, N).all_coeffs()[::-1]
-        assert shift_determinant(r, lam, mu) == [Fraction(str(c)) for c in expected], (lam, mu)
+        coeffs = shift_determinant(ModuleDescriptor(r, lam, mu))
+        assert coeffs == [Fraction(str(c)) for c in expected], (lam, mu)
 
 
 def test_shift_determinant_zero_parameter_factorizations():
@@ -394,5 +397,5 @@ def test_shift_determinant_zero_parameter_factorizations():
     }
     for r, product in factors.items():
         expected = sympy.Poly(product, N).all_coeffs()[::-1]
-        coeffs = shift_determinant(r, (0,) * r, (0,) * r)
+        coeffs = shift_determinant(ModuleDescriptor(r, (0,) * r, (0,) * r))
         assert coeffs == [Fraction(str(c)) for c in expected], r

@@ -5,11 +5,9 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from _reference import in_span
+from _reference import in_span, module_route_basis
 
-from vflie.exact import Echelon
 from vflie.specht import _homogeneous_split, closure_basis, tspace_series
-from vflie.tensormod import ModuleDescriptor, ModuleElement, act_e
 
 
 def _sympy_substitute(f, p, n):
@@ -102,40 +100,11 @@ def test_closure_agrees_with_module_route():
 
 def _assert_module_route_agrees(gens, n, cutoff=8):
     ts = closure_basis(gens, n, cutoff)
-    basis = _module_route_basis(gens, n, cutoff)
+    basis = module_route_basis(gens, n, cutoff)
     assert ts.dimensions() == [len(basis.get(w, ())) for w in range(cutoff + 1)]
     for elements in basis.values():
         for m in elements:
             assert in_span(ts.graded_basis, m.terms)
-
-
-def _module_route_basis(gens, n, cutoff):
-    desc = ModuleDescriptor(n, (Fraction(0),) * n, (Fraction(0),) * n)
-    seeds = {}
-    for g in gens:
-        for d, comp in _homogeneous_split(g).items():
-            if d <= cutoff:
-                seeds.setdefault(d, []).append(ModuleElement(desc, comp))
-    basis, ech, idx = {}, {}, {}
-
-    def admit(w, m):
-        if not m.terms:
-            return False
-        e = ech.setdefault(w, Echelon())
-        ix = idx.setdefault(w, {})
-        vec = {ix.setdefault(t, len(ix)): c for t, c in m.terms.items()}
-        if e.insert(vec) is not None:
-            return False
-        basis.setdefault(w, []).append(m)
-        return True
-
-    for w in range(cutoff + 1):
-        for m in seeds.get(w, ()):
-            admit(w, m)
-        for k in range(1, w + 1):
-            for m in basis.get(w - k, []):
-                admit(w, act_e(k, m))
-    return basis
 
 
 def test_series_fit_two_variables():

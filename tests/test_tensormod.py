@@ -6,6 +6,7 @@ from fractions import Fraction
 from math import comb
 
 import pytest
+from _reference import weyl_dim
 
 from vflie._enum import bounded_tails, weighted_vectors
 from vflie.tensormod import (
@@ -187,31 +188,19 @@ def test_descriptor_serialization():
     assert desc.to_dict() == {"r": 2, "lambda": ["1/2", "0"], "mu": ["-1", "3"]}
 
 
-def _weyl_dim(lam):
-    """Weyl dimension formula for gl_n: prod_(i<j) (lam_i - lam_j + j - i)/(j - i)."""
-    n = len(lam)
-    num = 1
-    den = 1
-    for i in range(n):
-        for j in range(i + 1, n):
-            num *= lam[i] - lam[j] + j - i
-            den *= j - i
-    return num // den
-
-
 def test_weight_support_gl2():
     support = weight_support((2, 1), 2)
     assert [(tuple(wv.alpha), wv.multiplicity) for wv in support] == [
         ((2, 1), 1),
         ((1, 2), 1),
     ]
-    assert sum(wv.multiplicity for wv in support) == _weyl_dim((2, 1))
+    assert sum(wv.multiplicity for wv in support) == weyl_dim((2, 1))
 
 
 def test_weight_support_gl3_adjoint_like():
     support = weight_support((2, 1, 0), 3)
     total = sum(wv.multiplicity for wv in support)
-    assert total == _weyl_dim((2, 1, 0)) == 8
+    assert total == weyl_dim((2, 1, 0)) == 8
     mults = {tuple(wv.alpha): wv.multiplicity for wv in support}
     assert mults[(1, 1, 1)] == 2  # the zero-ish weight space of the adjoint
     assert mults[(2, 1, 0)] == 1
@@ -231,7 +220,7 @@ def test_weight_support_totals_weyl():
             ]
         for lam in lams:
             support = weight_support(lam, n)
-            assert sum(wv.multiplicity for wv in support) == _weyl_dim(lam), lam
+            assert sum(wv.multiplicity for wv in support) == weyl_dim(lam), lam
 
 
 def test_weight_support_rejects_non_dominant():
@@ -243,7 +232,7 @@ def test_decompose_coinduced_dimensions():
     for lam in [(1, 0), (2, 1), (2, 0), (3, 1, 0)]:
         n = len(lam)
         modules = decompose_coinduced(lam, n)
-        assert sum(m for _d, m in modules) == _weyl_dim(lam)
+        assert sum(m for _d, m in modules) == weyl_dim(lam)
         for w in range(7):
             total = sum(m * graded_dimension(d, w) for d, m in modules)
-            assert total == _weyl_dim(lam) * comb(w + n - 1, n - 1)
+            assert total == weyl_dim(lam) * comb(w + n - 1, n - 1)
