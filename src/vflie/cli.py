@@ -15,7 +15,7 @@ import json
 import sys
 from bisect import bisect_right
 from collections import Counter
-from math import comb
+from math import comb, inf
 
 from .exact import format_rat, parse_rat
 from .liealg import AlgebraDescriptor
@@ -211,8 +211,12 @@ def _table_csv(table, p_max: int, w_max: int) -> str:
 
 
 def _cmd_phi(args):
-    # the degree-r slice has C(2r - 1, r) monomials, whatever --max-r says
+    # the degree-r slice has C(2r - 1, r) monomials, whatever --max-r says;
+    # that is at least 2^(r - 1), so once 2^(r - 1) passes the limit r is
+    # refused on its own, before any work that grows with it
     r = args.r
+    if r > hm.DEFAULT_DIM_LIMIT.bit_length():
+        _refuse_over(inf, "r = %d: C(%d, %d) slice monomials" % (r, 2 * r - 1, r))
     dim = comb(2 * r - 1, r) if r else 1
     _refuse_over(dim, "r = %d: C(%d, %d) = %d slice monomials" % (r, 2 * r - 1, r, dim))
     desc = _module(args)

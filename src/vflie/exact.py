@@ -16,10 +16,14 @@ One modular kernel, ``rank_mod_p``, ranks integer vectors over GF(p).  For an
 integer matrix the rank mod p is at most the rank over Q, so one rule makes
 it a proof: a mod-p rank that reaches a caller's upper bound for the rank
 over Q is exact.  ``rank_of_vectors(vectors, bound)`` applies that rule for
-every caller, with bounds such as the dimension of the space or, in a chain
-complex, dim C_(p-1) - rank d_(p-1) (d o d = 0), and falls back to exact
-elimination (``Echelon``) when the mod-p rank stays below it.  So every
-rank, kernel and determinant reported is exact.
+every caller, and falls back to exact elimination (``Echelon``) when the
+mod-p rank stays below it.  The bound is a count the caller already has:
+the number of rows the vectors live on, or the number of vectors.  In a
+chain complex homology drops the rows that the rank below has proved
+redundant, so there the row count dim C_(p-1) - rank d_(p-1) is the bound.
+The family may be lazy; the mod-p step pulls vectors only until its rank
+reaches the bound.  So every rank, kernel and determinant reported is
+exact.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ import heapq
 import math
 from collections import Counter
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, count
 
 __all__ = [
     "parse_rat",
@@ -245,69 +249,91 @@ def _primitive(v, lead, combo=None):
     return g
 
 
-def rank_of_vectors(vectors, bound=None) -> int:
-    """Rank over Q of a family of sparse {key: Fraction or int} vectors.
+def rank_of_vectors(vectors, bound=None, kept=None) -> int:
+    """Rank over Q of a family, any iterable, of sparse {int key: Fraction or
+    int} vectors.
 
-    With a bound, an upper bound for the rank over Q, the rank is first
-    taken mod p up to min(bound, number of vectors); if it reaches that
-    limit it is the rank over Q.  Otherwise the family goes to exact
-    elimination in ``_fill_in_order``.  Without a bound the vectors are
-    eliminated exactly, in the given order, with no mod-p step.
+    With a bound, an upper bound for the rank over Q such as the number of
+    rows or of vectors, the rank is first taken mod p, and vectors are
+    pulled from the family only until the mod-p rank reaches the bound; if
+    it does, it is the rank over Q.  Otherwise the rest of the family is
+    pulled and the whole goes to exact elimination in ``_fill_in_order``.
+    Without a bound the vectors are eliminated exactly, in the given order,
+    with no mod-p step.
+
+    With a list kept, the indices (in the family's order) of a maximal
+    independent subfamily are appended to it, as many as the rank: the
+    vectors that raised the mod-p rank when that rank is the answer
+    (independent mod p, so over Q: some minor of theirs is nonzero mod p,
+    hence over Z), else the vectors that became exact pivot rows.
 
     The rank is invariant under permuting the vectors (the columns) and
     relabelling the keys (the rows); the work is not, since the insertion
     order and the pivot order, largest key first, set the fill-in."""
+    vectors, order = iter(vectors), count()
     if bound is not None:
-        limit = min(bound, len(vectors))
-        if rank_mod_p(vectors, limit=limit) == limit:
-            return limit
-        vectors = _fill_in_order(vectors)
+        pulled, found = [], []
+        if rank_mod_p(_pulling(vectors, pulled), limit=bound, kept=found) == bound:
+            if kept is not None:
+                kept += found
+            return bound
+        order, vectors = _fill_in_order(pulled + list(vectors))
     ech = Echelon()
-    for v in vectors:
-        ech.insert(v)
+    for index, vec in zip(order, vectors):
+        if ech.insert(vec) is None and kept is not None:
+            kept.append(index)
     return ech.rank
 
 
+def _pulling(vectors, into):
+    """The vectors of an iterator, each appended to into as it is pulled."""
+    for vec in vectors:
+        into.append(vec)
+        yield vec
+
+
 def _fill_in_order(family):
-    """The family with its row keys renumbered by (-occurrences, key), so the
-    sparsest rows get the largest keys and are pivoted on first, and its
-    vectors sorted by their largest new key: a vector whose leading key no
-    earlier vector has becomes a pivot row with no reduction.
+    """(order, vectors): the family with its row keys renumbered by
+    (-occurrences, key), so the sparsest rows get the largest keys and are
+    pivoted on first, and its vectors sorted by their largest new key, the
+    i-th of them family[order[i]]: a vector whose leading key no earlier
+    vector has becomes a pivot row with no reduction.
 
     On the homology blocks whose mod-p rank stays below its bound, L1:2
     p <= 4, w <= 8, this order cut the entries the exact row operations
     touch from 10879916 to 3873543.  Mod p the same renumbering slowed the
     n = 1 windows, so ``rank_mod_p`` keeps the caller's order."""
-    count = Counter(k for vec in family for k in vec)
-    number = {k: i for i, k in enumerate(sorted(count, key=lambda k: (-count[k], k)))}
+    occurrences = Counter(k for vec in family for k in vec)
+    number = {k: i for i, k in enumerate(sorted(occurrences, key=lambda k: (-occurrences[k], k)))}
     family = [{number[k]: c for k, c in vec.items()} for vec in family]
-    return sorted(family, key=lambda vec: max(vec, default=-1))
+    order = sorted(range(len(family)), key=lambda i: max(family[i], default=-1))
+    return order, [family[i] for i in order]
 
 
 # the largest prime below 2**30: residues and their products stay small ints
 PRIME = 1073741789
 
 
-def rank_mod_p(vectors, p=PRIME, limit=None) -> int:
-    """Rank over GF(p) of sparse {key: Fraction or int} vectors.
+def rank_mod_p(vectors, p=PRIME, limit=None, kept=None) -> int:
+    """Rank over GF(p) of an iterable of sparse {int key: Fraction or int}
+    vectors.
 
     Each vector is scaled to an integer vector (``_to_int_vector``; a nonzero
-    scalar changes no rank).  Keys are numbered in sorted order and each
-    vector is reduced from its largest key down, against pivot rows
-    normalized to a leading 1; entries are reduced mod p only when they
-    lead.  The result is a lower bound for the rank over Q; with a limit,
-    elimination stops once the rank reaches it (``rank_of_vectors`` says
-    when that proves the rank over Q).  Like every rank, it is invariant
-    under permuting the vectors and relabelling the keys; only the fill-in
-    depends on their order.
+    scalar changes no rank) and reduced from its largest key down, against
+    pivot rows normalized to a leading 1; entries are reduced mod p only when
+    they lead.  The result is a lower bound for the rank over Q.  With a
+    limit, elimination stops once the rank reaches it, and no further
+    vector is pulled from the iterable (``rank_of_vectors`` says when that
+    proves the rank over Q).  With a list kept, the index of each vector
+    that raised the rank is appended to it.  Like every rank, it is
+    invariant under permuting the vectors and relabelling the keys; only
+    the fill-in depends on their order.
     """
-    vectors = [_to_int_vector(vec)[0] for vec in vectors]
-    number = {k: i for i, k in enumerate(sorted({k for vec in vectors for k in vec}))}
     pivots = {}  # leading key -> the rest of its row, residues mod p
-    for vec in vectors:
-        if len(pivots) == limit:
-            break
-        v = {number[k]: c for k, c in vec.items()}
+    if limit == 0:
+        return 0
+    for index, vec in enumerate(vectors):
+        v = _to_int_vector(vec)[0]
         heap = [-k for k in v]  # the keys of v, largest first
         heapq.heapify(heap)
         while heap:
@@ -319,6 +345,10 @@ def rank_mod_p(vectors, p=PRIME, limit=None) -> int:
             if row is None:
                 inv = pow(c, -1, p)
                 pivots[lead] = {k: x * inv % p for k, x in v.items() if x % p}
+                if kept is not None:
+                    kept.append(index)
+                if len(pivots) == limit:
+                    return limit
                 break
             for k, y in row.items():
                 if k in v:

@@ -28,10 +28,12 @@ orbit, t sorted, is ranked, and the other blocks of its orbit share its
 ranks.
 
 Each canonical block is ranked once, going up in p, by
-``exact.rank_of_vectors`` with the bound that d o d = 0 gives:
-rank d_p(t) <= dim C_(p-1)(t) - rank d_(p-1)(t), the rank below being
-already exact.  A mod-p rank that reaches it is exact; any other block is
-ranked by exact elimination, so every table entry is exact.
+``exact.rank_of_vectors``, which also names the columns it found
+independent.  The columns of d_(p+1) are built, lazily, only on the rows
+that d_p's independent columns leave free (compression, see
+``_weight_table``), so their row count dim C_p(t) - rank d_p(t) is the
+bound that d o d = 0 gives.  A mod-p rank that reaches it is exact; any
+other block is ranked by exact elimination, so every table entry is exact.
 
 Mod p the columns go in chain order: sparsest-column-first multiplied the
 row-operation entries (over all blocks of L1:1 p <= 4, w <= 40: 1210574
@@ -58,7 +60,7 @@ needs only the same window of each L_1(1) table.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import count
 from math import comb
 
@@ -83,13 +85,14 @@ __all__ = [
 DEFAULT_DIM_LIMIT = 20000
 
 
-@dataclass(frozen=True)
-class TensorCoefficients:
+class TensorCoefficients(
+    namedtuple("TensorCoefficients", "descriptor", defaults=(ModuleDescriptor(0, (), ()),))
+):
     """The tensor module T^r_(lambda, mu) as coefficients; the default r = 0,
     the empty tensor product, is the trivial module k.  Monomial basis
     indexed by exponent vectors; module weight = total degree."""
 
-    descriptor: ModuleDescriptor = ModuleDescriptor(0, (), ())
+    __slots__ = ()
 
     def validate(self, alg: AlgebraDescriptor):
         r, coordinate_sum = self.descriptor.r, alg.flavor == FLAVOR_COORDINATE_SUM
@@ -191,7 +194,8 @@ class _Complex:
     def column(self, key, row_of):
         """scale * d(chain) over the rows {chain key: index} of row_of, which
         must hold every chain the boundary reaches: the whole slice below,
-        or the block of the same torus weight."""
+        or the block of the same torus weight.  A chain whose index is None
+        is a dropped row: its entry is left out."""
         wedge, expo = key
         k = len(wedge)
         out = {}
@@ -211,7 +215,7 @@ class _Complex:
             for new_expo, c in self._act(wedge[i1], expo):
                 row = row_of[rest, new_expo]
                 out[row] = out.get(row, 0) + sign * c
-        return {row: c for row, c in out.items() if c}
+        return {row: c for row, c in out.items() if c and row is not None}
 
 
 def _field_top(alg: AlgebraDescriptor, p: int, w: int) -> int:
@@ -303,7 +307,32 @@ def _kuenneth(n: int, desc: ModuleDescriptor, p_max: int, w_max: int, dim_limit:
 
 
 def _weight_table(cx: _Complex, p_max: int, w: int):
-    """{(p, w): dim H_p(w)} for p <= p_max at one weight."""
+    """{(p, w): dim H_p(w)} for p <= p_max at one weight.
+
+    d_p on block t maps the columns C_p(t) to the rows C_(p-1)(t), and each
+    ranked block keeps J(p, t), the indices of d_p's columns found
+    independent, |J(p, t)| = rank d_p(t).  The columns of d_(p+1) on block
+    t are then built on the rows C_p(t) minus J(p, t) only, which keeps
+    their rank (compression; Bauer, Kerber & Reininghaus, "Clear and
+    Compress", 2014; the one-step reduction lemma of algebraic Morse
+    theory).  The lemma: for x in ker d_p, d_p[:, J] x_J = -d_p[:, not J]
+    x_(not J), and the columns J are independent, so x_J is determined by
+    the other coordinates; deleting the J coordinates is injective on
+    ker d_p, which holds im d_(p+1) (d o d = 0).  The same argument applies
+    to d_p with the rows J(p - 1, t) dropped: columns independent on fewer
+    rows are independent on all of them, so the compressed ranks chain up
+    in p.  J may come from the mod-p step, since columns independent mod p
+    are independent over Q (some |J| x |J| minor is nonzero mod p, so it
+    is nonzero over Z).  Injective on ker d_p, whose dimension is
+    dim C_p(t) - rank d_p(t), the deletion is onto its target, so the row
+    count is exactly that bound and no other bound is needed; the mod-p
+    step stops pulling columns once it reaches min(rows, columns).
+
+    A coordinate permutation s maps block t onto block s(t) and commutes
+    with d up to sign, so only sorted blocks are ranked and the rest of
+    each orbit reads their ranks.  The columns keep chain order, in which
+    the mod-p pivots fill in least (see the module docstring).
+    """
     blocks = []  # per p: {torus weight: [chain keys]}
     for p in range(p_max + 2):
         split = {}
@@ -312,21 +341,23 @@ def _weight_table(cx: _Complex, p_max: int, w: int):
         blocks.append(split)
 
     def rank(p, t):
-        return ranks.get((p, tuple(sorted(t))), 0)
+        return len(kept.get((p, tuple(sorted(t))), ()))
 
-    # d_p on block t maps the columns C_p(t) to the rows C_(p-1)(t).  A
-    # coordinate permutation s maps block t onto block s(t) and commutes
-    # with d up to sign, so only sorted blocks are ranked and the rest of
-    # each orbit reads their ranks.  The columns keep chain order, in which
-    # the mod-p pivots fill in least (see the module docstring).
-    ranks = {}
+    kept = {}  # (p, t): J(p, t)
     for p in range(1, p_max + 2):
         for t, cols in blocks[p].items():
             rows = blocks[p - 1].get(t)
             if rows and list(t) == sorted(t):
-                row_of = {key: i for i, key in enumerate(rows)}
-                family = [cx.column(key, row_of) for key in cols]
-                ranks[p, t] = rank_of_vectors(family, bound=len(rows) - rank(p - 1, t))
+                dropped = kept.get((p - 1, t), ())
+                free = count()
+                row_of = {key: None if i in dropped else next(free) for i, key in enumerate(rows)}
+                found = []
+                rank_of_vectors(
+                    (cx.column(key, row_of) for key in cols),
+                    bound=min(len(rows) - len(dropped), len(cols)),
+                    kept=found,
+                )
+                kept[p, t] = set(found)
     return {
         (p, w): sum(
             len(chains) - rank(p, t) - rank(p + 1, t)

@@ -14,7 +14,7 @@ tables (see homology), which never numbers a field of the sum.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from ._enum import monomials_of_degree
 
@@ -26,18 +26,17 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class VFBasis:
+class VFBasis(namedtuple("VFBasis", "exponent direction")):
     """Monomial vector field x^exponent d_(direction); direction is 0-based."""
 
-    exponent: tuple
-    direction: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if any(a < 0 for a in self.exponent):
-            raise ValueError("negative exponent in %r" % (self.exponent,))
-        if not 0 <= self.direction < len(self.exponent):
+    def __new__(cls, exponent, direction):
+        if any(a < 0 for a in exponent):
+            raise ValueError("negative exponent in %r" % (exponent,))
+        if not 0 <= direction < len(exponent):
             raise ValueError("direction out of range")
+        return super().__new__(cls, exponent, direction)
 
     @property
     def n(self) -> int:
@@ -77,8 +76,7 @@ FLAVOR_VANISHING = "L"
 FLAVOR_COORDINATE_SUM = "Lsum"
 
 
-@dataclass(frozen=True)
-class AlgebraDescriptor:
+class AlgebraDescriptor(namedtuple("AlgebraDescriptor", "n d flavor")):
     """Which graded algebra: W(n), L_d(n), or the coordinatewise sum of L_1's.
 
     flavor "W": all monomial fields (weights >= -1); d is ignored and 0.
@@ -86,24 +84,23 @@ class AlgebraDescriptor:
     flavor "Lsum": fields x_i^(k+1) d_i with k >= 1, one L_1 per coordinate.
     """
 
-    n: int
-    d: int = 0
-    flavor: str = FLAVOR_VANISHING
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.n < 1:
+    def __new__(cls, n, d=0, flavor=FLAVOR_VANISHING):
+        if n < 1:
             raise ValueError("need at least one variable")
-        if self.flavor == FLAVOR_FULL:
-            if self.d != 0:
+        if flavor == FLAVOR_FULL:
+            if d != 0:
                 raise ValueError("W flavor carries no vanishing order")
-        elif self.flavor == FLAVOR_VANISHING:
-            if self.d < 1:
+        elif flavor == FLAVOR_VANISHING:
+            if d < 1:
                 raise ValueError("L flavor requires d >= 1")
-        elif self.flavor == FLAVOR_COORDINATE_SUM:
-            if self.d != 1:
+        elif flavor == FLAVOR_COORDINATE_SUM:
+            if d != 1:
                 raise ValueError("coordinate-sum flavor is built from L_1's")
         else:
-            raise ValueError("unknown flavor %r" % (self.flavor,))
+            raise ValueError("unknown flavor %r" % (flavor,))
+        return super().__new__(cls, n, d, flavor)
 
     @property
     def min_weight(self) -> int:

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, combinations
@@ -46,7 +45,6 @@ __all__ = [
 ]
 
 
-@dataclass
 class PolyModulePresentation:
     """Free module presentation over k[g_1..g_r], deg g_i = i: generator
     weights plus a list of relation vectors.
@@ -61,10 +59,14 @@ class PolyModulePresentation:
     number of relations harvested at w.
     """
 
-    r: int
-    generator_weights: tuple
-    relations: list
-    harvest_ranks: tuple = ()
+    def __init__(self, r: int, generator_weights: tuple, relations: list, harvest_ranks=()):
+        self.r = r
+        self.generator_weights = generator_weights
+        self.relations = relations
+        self.harvest_ranks = harvest_ranks
+
+    def __eq__(self, other):
+        return type(other) is type(self) and vars(other) == vars(self)
 
 
 def associated_graded_presentation(
@@ -263,14 +265,17 @@ def groebner_self_test(pres: PolyModulePresentation) -> bool:
 # Hilbert series
 
 
-@dataclass
 class RationalSeries:
     """num(t)/den(t) as ascending integer coefficient lists with no trailing
     zeros (the zero numerator is [0]) and den[0] == 1, so the power series
     has integer coefficients."""
 
-    num: list
-    den: list
+    def __init__(self, num: list, den: list):
+        self.num = num
+        self.den = den
+
+    def __eq__(self, other):
+        return type(other) is type(self) and vars(other) == vars(self)
 
     def expand(self, upto: int):
         """Power-series coefficients h_0..h_upto, as ints."""

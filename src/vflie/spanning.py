@@ -21,7 +21,6 @@ peeled layers and the residue modules of a dilation are descriptors too.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -61,21 +60,18 @@ class ResourceLimitError(RuntimeError):
     """A configured size bound was exceeded."""
 
 
-@dataclass(frozen=True)
-class GeneratorSet:
-    """A finite set of monomial exponents, kept sorted for determinism."""
+class GeneratorSet(tuple):
+    """A finite set of monomial exponents, kept sorted for determinism: the
+    tuple of its exponent tuples."""
 
-    exponents: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        expos = tuple(sorted(tuple(int(a) for a in e) for e in self.exponents))
-        object.__setattr__(self, "exponents", expos)
+    def __new__(cls, exponents):
+        return super().__new__(cls, sorted(tuple(int(a) for a in e) for e in exponents))
 
-    def __len__(self):
-        return len(self.exponents)
-
-    def __iter__(self):
-        return iter(self.exponents)
+    @property
+    def exponents(self):
+        return tuple(self)
 
 
 def _slice_index(r: int):
@@ -185,16 +181,18 @@ def _slice_rank(desc, sources, w, d=1):
     """(dimension, candidate count, rank over Q) of the word family on the
     sources (a tuple of exponent tuples; None: the tail monomials) at weight
     w.  Sparse vectors go first, the order in which the mod-p step fills in
-    least; the slice dimension bounds the rank.  Memoised: the shift
-    searches of spanning_generators ask for the same slices again."""
+    least; their keys are the slice monomials numbered in lex order, and
+    the slice dimension and the vector count bound the rank.  Memoised: the
+    shift searches of spanning_generators ask for the same slices again."""
     dim = graded_dimension(desc, w)
     vectors = word_vectors(desc, sources, w, d)
+    number = {m: i for i, m in enumerate(monomials_of_degree(desc.r, w))}
     family = [
-        terms
+        {number[m]: c for m, c in terms.items()}
         for _, terms in sorted(vectors, key=lambda lv: (len(lv[1]), lv[0]))
         if terms
     ]
-    return dim, len(vectors), rank_of_vectors(family, bound=dim)
+    return dim, len(vectors), rank_of_vectors(family, bound=min(dim, len(family)))
 
 
 def _slice_entries(desc, sources, cutoff, d=1, basis=False):

@@ -29,8 +29,7 @@ Two representations of the action live here:
 from __future__ import annotations
 
 import math
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from fractions import Fraction
 from itertools import product
 
@@ -49,21 +48,20 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ModuleDescriptor:
-    """Parameters (r, lambdabar, mubar) of a tensor module T^r."""
+class ModuleDescriptor(namedtuple("ModuleDescriptor", "r lam mu")):
+    """Parameters (r, lambdabar, mubar) of a tensor module T^r; lam and mu
+    are stored as tuples of Fractions."""
 
-    r: int
-    lam: tuple
-    mu: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.r < 0:
+    def __new__(cls, r, lam, mu):
+        if r < 0:
             raise ValueError("rank must be >= 0")
-        if len(self.lam) != self.r or len(self.mu) != self.r:
+        if len(lam) != r or len(mu) != r:
             raise ValueError("parameter vectors must have length r")
-        object.__setattr__(self, "lam", tuple(Fraction(x) for x in self.lam))
-        object.__setattr__(self, "mu", tuple(Fraction(x) for x in self.mu))
+        return super().__new__(
+            cls, r, tuple(Fraction(x) for x in lam), tuple(Fraction(x) for x in mu)
+        )
 
     @property
     def den(self) -> int:
@@ -207,12 +205,10 @@ def graded_dimension(descriptor: ModuleDescriptor, w: int) -> int:
 # weight decomposition of coinduced modules
 
 
-@dataclass(frozen=True)
-class WeightVector:
+class WeightVector(namedtuple("WeightVector", "alpha multiplicity")):
     """An integral gl_n weight with its multiplicity."""
 
-    alpha: tuple
-    multiplicity: int
+    __slots__ = ()
 
 
 def _check_dominant(lam, n):

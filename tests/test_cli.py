@@ -442,6 +442,14 @@ def test_huge_phi_rank_refused_at_once():
     _refused_at_once(["phi", "--r", "12", "--max-r", "12"], "1352078", "20000")
 
 
+def test_phi_rank_past_any_binomial_refused_at_once():
+    # C(2r - 1, r) >= 2^(r - 1) passes the limit from r = 16 on, so such an r
+    # is refused on its own: the binomial is neither computed nor printed
+    for r in ("16", "100000", "1000000"):
+        text = "r = %s: C(%d, %s) slice monomials exceed" % (r, 2 * int(r) - 1, r)
+        _refused_at_once(["phi", "--r", r], text, "20000")
+
+
 def test_hilbert_closure_refused():
     # harvests not closed under g_1..g_r in the window: the first weight where
     # the presented module falls below the harvest rank is named, and nothing

@@ -348,6 +348,35 @@ def test_rank_invariant_under_column_order_and_key_relabelling(data):
     rank, rank3 = rank_of_vectors(family), rank_mod_p(family, 3)
     reordered = [family[i] for i in order]
     relabelled = [{labels[k]: c for k, c in vec.items()} for vec in reordered]
-    for variant in (family, reordered, relabelled, _fill_in_order(reordered)):
+    for variant in (family, reordered, relabelled, _fill_in_order(reordered)[1]):
         assert rank_of_vectors(variant) == rank_mod_p(variant) == rank
         assert rank_mod_p(variant, 3) == rank3
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_rank_of_vectors_names_an_independent_subfamily(data):
+    # a lazy family: the kept indices are independent, as many as the rank,
+    # both when the mod-p rank proves it and when the exact pass does (the
+    # fill-in order renumbers the vectors, the indices must not move); a
+    # family whose mod-p rank reaches the bound is pulled no further
+    nkeys = data.draw(st.integers(1, 6))
+    entries = st.integers(-4, 4).filter(bool)
+    family = data.draw(
+        st.lists(st.dictionaries(st.integers(0, nkeys - 1), entries), max_size=8)
+    )
+    rank = rank_of_vectors(family)
+    real = exact.rank_mod_p
+    for p in (PRIME, 3):
+        for bound in (rank, min(nkeys, len(family)), len(family) + 1):
+            pulled, kept = [], []
+            lazy = (pulled.append(i) or vec for i, vec in enumerate(family))
+            exact.rank_mod_p = functools.partial(real, p=p)
+            try:
+                assert rank_of_vectors(lazy, bound=bound, kept=kept) == rank
+            finally:
+                exact.rank_mod_p = real
+            assert len(kept) == len(set(kept)) == rank
+            assert rank_of_vectors([family[i] for i in kept]) == rank
+            if real([family[i] for i in pulled], p=p) == bound:
+                assert pulled == list(range(max(kept, default=-1) + 1))

@@ -331,7 +331,7 @@ def test_certificates_match_exact_ranks(monkeypatch):
         return real_echelon(*args, **kwargs)
 
     monkeypatch.setattr(exact, "Echelon", counting)
-    monkeypatch.setattr(exact, "rank_mod_p", lambda vectors, limit=None: -1)
+    monkeypatch.setattr(exact, "rank_mod_p", lambda vectors, limit=None, kept=None: -1)
     exact_only = _certificates()  # every slice ranked by exact elimination
     assert {c["verdict"] for c in exact_only} == {True, False}
     counts = []
