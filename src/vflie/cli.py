@@ -17,7 +17,7 @@ from bisect import bisect_right
 from collections import Counter
 from math import comb, inf
 
-from .exact import format_rat, parse_rat
+from .exact import ResourceLimitError, format_rat, parse_rat
 from .liealg import AlgebraDescriptor
 from .pbw_hilbert import (
     associated_graded_presentation,
@@ -30,7 +30,6 @@ from .spanning import (
     DEFAULT_BOUND,
     DEFAULT_CUTOFF,
     MAX_INTERPOLATION_R,
-    ResourceLimitError,
     SearchExhaustedError,
     dilated_generators,
     find_good_shift,
@@ -42,7 +41,7 @@ from .specht import closure_basis, tspace_series
 from .tensormod import ModuleDescriptor, decompose_coinduced, graded_dimension
 from . import homology as hm
 
-__all__ = ["main"]
+__all__ = ["build_parser", "main"]
 
 EXIT_OK = 0
 EXIT_FALSE = 1
@@ -260,6 +259,14 @@ def _cmd_hilbert(args):
     gen_cutoff = max(args.r, DEFAULT_CUTOFF)
     _check_cutoff(max(args.cutoff, gen_cutoff), args.r)
     S = spanning_generators(desc, cutoff=gen_cutoff, bound=args.bound)
+    # no relation of a generator above the cutoff is harvested, so it would
+    # enter the series as a free generator; the heaviest one is named
+    top = max(S, key=sum)
+    if sum(top) > args.cutoff:
+        raise ResourceLimitError(
+            "generator %s has weight %d above the cutoff %d"
+            % (",".join(map(str, top)), sum(top), args.cutoff)
+        )
     pres = associated_graded_presentation(desc, list(S), args.cutoff)
     gb = module_groebner(pres)
     if not groebner_self_test(gb):
@@ -274,10 +281,8 @@ def _cmd_hilbert(args):
                 % (args.r, w, dim, rank)
             )
     expected = [graded_dimension(desc, w) for w in range(args.cutoff + 1)]
-    gw = gb.generator_weights
     by_weight = Counter(  # relations by the weight of their lowest term
-        min(gw[pos] + sum((i + 1) * e for i, e in enumerate(expo)) for pos, expo in rel)
-        for rel in gb.relations
+        min(gb.weight(pos, expo) for pos, expo in rel) for rel in gb.relations
     )
     payload = {
         **desc.to_dict(),
@@ -311,8 +316,8 @@ def _cmd_homology(args):
     lam, mu = _rat_vector(args.lam), _rat_vector(args.mu)
     if len(lam) != len(mu):
         raise ValueError("lambda and mu must have the same length")
-    coeffs = hm.TensorCoefficients(ModuleDescriptor(len(lam), lam, mu))
-    table = hm.homology_table(alg, coeffs, args.p_max, args.w_max, dim_limit=args.dim_limit)
+    desc = ModuleDescriptor(len(lam), lam, mu)
+    table = hm.homology_table(alg, desc, args.p_max, args.w_max, dim_limit=args.dim_limit)
     payload = {
         "algebra": alg.label(),
         "p_max": args.p_max,

@@ -11,6 +11,7 @@ determinant columns, kernel vectors and ``pbw_hilbert``'s relations.
 Univariate polynomials and truncated power series are ascending integer
 coefficient lists, and every product, sum and series quotient of them goes
 through ``_poly_mul``, ``_poly_add`` and ``_series_quotient``.
+``ResourceLimitError`` is the one error of every layer for a size bound.
 
 One modular kernel, ``rank_mod_p``, ranks integer vectors over GF(p).  For an
 integer matrix the rank mod p is at most the rank over Q, so one rule makes
@@ -43,7 +44,12 @@ __all__ = [
     "rank_mod_p",
     "PRIME",
     "interpolate",
+    "ResourceLimitError",
 ]
+
+
+class ResourceLimitError(RuntimeError):
+    """A configured size bound was exceeded."""
 
 
 def parse_rat(text: str) -> Fraction:

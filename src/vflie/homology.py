@@ -7,6 +7,11 @@ Chains are C_p = Lambda^p(g) (x) M with the boundary
       sum_(i<j) (-1)^(i+j) [x_i, x_j] ^ ... x_i^ ... x_j^ ... (x) m
     + sum_i    (-1)^i     x_1 ^ ... x_i^ ... ^ x_p (x) x_i . m.
 
+The coefficients M are a tensor module T^r_(lambda, mu), named by the
+tensormod.ModuleDescriptor every layer takes (r = 0: the trivial module k);
+on L_d(1), x^(k+1) d acts as e_k.  Their whole rule, the module basis, the
+module's share of the torus weight and the action, lives in _Complex.
+
 Both terms preserve total weight (wedge weight plus module weight), so every
 homology space splits into finite-dimensional weight slices.  They also
 preserve the finer torus weight in Z^n: the sum of a - e_i over the wedge
@@ -60,12 +65,11 @@ needs only the same window of each L_1(1) table.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from collections import namedtuple
 from itertools import count
 from math import comb
 
 from ._enum import monomials_of_degree
-from .exact import rank_of_vectors
+from .exact import ResourceLimitError, rank_of_vectors
 from .liealg import (
     FLAVOR_COORDINATE_SUM,
     AlgebraDescriptor,
@@ -73,11 +77,9 @@ from .liealg import (
     basis_of_weight,
     bracket_basis,
 )
-from .spanning import ResourceLimitError
 from .tensormod import ModuleDescriptor, _act_int, _letter_constants, graded_dimension
 
 __all__ = [
-    "TensorCoefficients",
     "homology_table",
     "DEFAULT_DIM_LIMIT",
 ]
@@ -85,44 +87,29 @@ __all__ = [
 DEFAULT_DIM_LIMIT = 20000
 
 
-class TensorCoefficients(
-    namedtuple("TensorCoefficients", "descriptor", defaults=(ModuleDescriptor(0, (), ()),))
-):
-    """The tensor module T^r_(lambda, mu) as coefficients; the default r = 0,
-    the empty tensor product, is the trivial module k.  Monomial basis
-    indexed by exponent vectors; module weight = total degree."""
-
-    __slots__ = ()
-
-    def validate(self, alg: AlgebraDescriptor):
-        r, coordinate_sum = self.descriptor.r, alg.flavor == FLAVOR_COORDINATE_SUM
-        if coordinate_sum and r not in (0, alg.n):
-            raise ValueError("coordinatewise coefficients need one tensor factor per coordinate")
-        if r and not coordinate_sum and (alg.n > 1 or alg.min_weight < 1):
-            raise ValueError(
-                "tensor coefficients support L_d(1) with d >= 1 or the coordinate-sum flavor only"
-            )
-
-    def basis_at_weight(self, w: int):
-        return monomials_of_degree(self.descriptor.r, w) if w >= 0 else []
-
-    def act_scaled(self, field: VFBasis, expo):
-        """den times field . z^expo on L_d(1), as {exponent: int}: x^(k+1) d
-        is e_k, which acts on every factor by tensormod's integer kernel with
-        the constants of _letter_constants (letter 1 of the k-dilated
-        algebra is e_k)."""
-        k = field.weight
-        den, (base,) = _letter_constants(self.descriptor, 1, k)
-        return _act_int({expo: 1}, k, den, base)
+def _check_coefficients(alg: AlgebraDescriptor, desc: ModuleDescriptor):
+    """Refuse a tensor module the complexes cannot act by: r >= 1 factors
+    need L_d(1), d >= 1, or one factor per coordinate of the coordinate sum.
+    r = 0, the empty tensor product, is the trivial module k and fits every
+    algebra."""
+    r, coordinate_sum = desc.r, alg.flavor == FLAVOR_COORDINATE_SUM
+    if coordinate_sum and r not in (0, alg.n):
+        raise ValueError("coordinatewise coefficients need one tensor factor per coordinate")
+    if r and not coordinate_sum and (alg.n > 1 or alg.min_weight < 1):
+        raise ValueError(
+            "tensor coefficients support L_d(1) with d >= 1 or the coordinate-sum flavor only"
+        )
 
 
 class _Complex:
     """One window's chains as keys over the basis fields up to weight w_top;
     a boundary column is {row index: int}, scale times the exact column
-    (scale = the common denominator of the coefficients' parameters)."""
+    (scale = the common denominator of the coefficients' parameters).  The
+    whole rule of the coefficients desc lives here: their basis in chains,
+    their torus weight in torus and their action in act_scaled."""
 
-    def __init__(self, alg: AlgebraDescriptor, coeffs: TensorCoefficients, w_top: int):
-        self.alg, self.coeffs, self.scale = alg, coeffs, coeffs.descriptor.den
+    def __init__(self, alg: AlgebraDescriptor, desc: ModuleDescriptor, w_top: int):
+        self.alg, self.desc, self.scale = alg, desc, desc.den
         self.fields, self.number, self.weights = [], {}, []
         for w in range(alg.min_weight, w_top + 1):
             for f in basis_of_weight(alg, w):
@@ -136,7 +123,7 @@ class _Complex:
         order of field number, then module monomials."""
         out = []
         for wa in range(p * self.alg.min_weight, w + 1):
-            module_part = self.coeffs.basis_at_weight(w - wa)
+            module_part = monomials_of_degree(self.desc.r, w - wa)
             if module_part:
                 out.extend((wedge, expo) for wedge in self._wedges(p, wa) for expo in module_part)
         return out
@@ -175,6 +162,15 @@ class _Complex:
                 t[c] += a - (c == field.direction)
         return tuple(t)
 
+    def act_scaled(self, field: VFBasis, expo):
+        """den times field . z^expo on L_d(1), as {exponent: int}: x^(k+1) d
+        is e_k, which acts on every factor by tensormod's integer kernel with
+        the constants of _letter_constants (letter 1 of the k-dilated
+        algebra is e_k)."""
+        k = field.weight
+        den, (base,) = _letter_constants(self.desc, 1, k)
+        return _act_int({expo: 1}, k, den, base)
+
     def _bracket(self, i, j):
         out = self._brackets.get((i, j))
         if out is None:
@@ -186,9 +182,7 @@ class _Complex:
     def _act(self, i, expo):
         out = self._actions.get((i, expo))
         if out is None:
-            out = self._actions[i, expo] = tuple(
-                self.coeffs.act_scaled(self.fields[i], expo).items()
-            )
+            out = self._actions[i, expo] = tuple(self.act_scaled(self.fields[i], expo).items())
         return out
 
     def column(self, key, row_of):
@@ -224,13 +218,13 @@ def _field_top(alg: AlgebraDescriptor, p: int, w: int) -> int:
     return w + max(p - 1, 0) * max(-alg.min_weight, 0)
 
 
-def _chain_dims(alg: AlgebraDescriptor, coeffs: TensorCoefficients, p_top: int):
+def _chain_dims(alg: AlgebraDescriptor, desc: ModuleDescriptor, p_top: int):
     """[dim C_p(w) for p <= p_top] for w = 0, 1, ..., counted without
     numbering a field or listing a chain.  subsets[q][s] counts the
     q-subsets of the fields up to weight top with weight sum s; the m fields
     of a new weight v (n C(v + n, n - 1), or n for Lsum) add C(m, k) ways to
     take k of them."""
-    n, desc = alg.n, coeffs.descriptor
+    n = alg.n
     subsets = [{0: 1}] + [{} for _ in range(p_top)]
     top = alg.min_weight - 1
     for w in count():
@@ -250,12 +244,13 @@ def _chain_dims(alg: AlgebraDescriptor, coeffs: TensorCoefficients, p_top: int):
 
 def homology_table(
     alg: AlgebraDescriptor,
-    coeffs,
+    desc: ModuleDescriptor,
     p_max: int,
     w_max: int,
     dim_limit: int = DEFAULT_DIM_LIMIT,
 ):
-    """Exact dims {(p, w): dim H_p(w)} for p <= p_max, w <= w_max.
+    """Exact dims {(p, w): dim H_p(w)} for p <= p_max, w <= w_max, with
+    coefficients the tensor module desc.
 
     The table is a finite window, never a completeness statement beyond it.
     Every chain slice of the window is counted before any field is numbered
@@ -264,8 +259,8 @@ def homology_table(
     sum is then the product of its one-variable tables (Kuenneth, see the
     module docstring); every other algebra is ranked weight by weight.
     """
-    coeffs.validate(alg)
-    for w, dims in zip(range(w_max + 1), _chain_dims(alg, coeffs, p_max + 1)):
+    _check_coefficients(alg, desc)
+    for w, dims in zip(range(w_max + 1), _chain_dims(alg, desc, p_max + 1)):
         for p, dim in enumerate(dims):
             if dim > dim_limit:
                 raise ResourceLimitError(
@@ -273,8 +268,8 @@ def homology_table(
                     % (p, w, dim, dim_limit)
                 )
     if alg.flavor == FLAVOR_COORDINATE_SUM:
-        return _kuenneth(alg.n, coeffs.descriptor, p_max, w_max, dim_limit)
-    cx = _Complex(alg, coeffs, _field_top(alg, p_max + 1, w_max))
+        return _kuenneth(alg.n, desc, p_max, w_max, dim_limit)
+    cx = _Complex(alg, desc, _field_top(alg, p_max + 1, w_max))
     table = {}
     for w in range(w_max + 1):
         table.update(_weight_table(cx, p_max, w))
@@ -287,10 +282,7 @@ def _kuenneth(n: int, desc: ModuleDescriptor, p_max: int, w_max: int, dim_limit:
     the trivial module for r = 0, one table per distinct factor."""
     factors = [ModuleDescriptor(1, (l,), (m,)) for l, m in zip(desc.lam, desc.mu)] or [desc] * n
     l1 = AlgebraDescriptor(1, d=1)
-    tables = {
-        f: homology_table(l1, TensorCoefficients(f), p_max, w_max, dim_limit)
-        for f in set(factors)
-    }
+    tables = {f: homology_table(l1, f, p_max, w_max, dim_limit) for f in set(factors)}
     window = [(p, w) for p in range(p_max + 1) for w in range(w_max + 1)]
     table = {(0, 0): 1}  # the empty product: the zero algebra on k
     for f in factors:

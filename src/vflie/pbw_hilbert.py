@@ -68,6 +68,10 @@ class PolyModulePresentation:
     def __eq__(self, other):
         return type(other) is type(self) and vars(other) == vars(self)
 
+    def weight(self, pos, expo):
+        """Weight of g^expo in slot pos: generator weight plus _wdeg(expo)."""
+        return self.generator_weights[pos] + _wdeg(expo)
+
 
 def associated_graded_presentation(
     descriptor: ModuleDescriptor, S, cutoff: int
@@ -206,14 +210,9 @@ def module_groebner(pres: PolyModulePresentation) -> PolyModulePresentation:
     scale, so the output depends only on the module the relations
     generate, not on their order, their scale or how they were found.
     """
-    gen_weights = pres.generator_weights
-
-    def weight(pos, expo):
-        return gen_weights[pos] + _wdeg(expo)
-
     relations = [_to_int_vector(vec)[0] for vec in pres.relations]
     # (weight, 0, input index) or (weight, 1, (i, j)) for an S-pair
-    queue = [(weight(*_lead(vec)), 0, seq) for seq, vec in enumerate(relations) if vec]
+    queue = [(pres.weight(*_lead(vec)), 0, seq) for seq, vec in enumerate(relations) if vec]
     heapq.heapify(queue)
     basis = []
     while queue:
@@ -230,7 +229,7 @@ def module_groebner(pres: PolyModulePresentation) -> PolyModulePresentation:
         for m, (_, (bpos, bexpo)) in enumerate(basis):
             if bpos == pos:
                 lcm = tuple(max(x, y) for x, y in zip(expo, bexpo))
-                heapq.heappush(queue, (weight(pos, lcm), 1, (m, len(basis))))
+                heapq.heappush(queue, (pres.weight(pos, lcm), 1, (m, len(basis))))
         basis.append((nf, (pos, expo)))
     # minimal basis: each entry is a normal form against every earlier one,
     # so no earlier leading term divides a later one; drop an entry whose
@@ -247,7 +246,7 @@ def module_groebner(pres: PolyModulePresentation) -> PolyModulePresentation:
         vec = _reduce_vector(vec, minimal[:i] + minimal[i + 1 :])
         _primitive(vec, lead)
         out.append(vec)
-    return PolyModulePresentation(pres.r, gen_weights, out)
+    return PolyModulePresentation(pres.r, pres.generator_weights, out)
 
 
 def groebner_self_test(pres: PolyModulePresentation) -> bool:

@@ -25,13 +25,12 @@ from fractions import Fraction
 from functools import lru_cache
 
 from ._enum import bounded_tails, monomials_of_degree, weighted_vectors
-from .exact import SparseMat, format_rat, interpolate, rank_of_vectors
+from .exact import ResourceLimitError, SparseMat, format_rat, interpolate, rank_of_vectors
 from .tensormod import ModuleDescriptor, _act_int, graded_dimension, word_vectors
 
 __all__ = [
     "GeneratorSet",
     "SearchExhaustedError",
-    "ResourceLimitError",
     "power_basis_matrix",
     "shift_determinant",
     "graded_basis_certificate",
@@ -56,10 +55,6 @@ class SearchExhaustedError(RuntimeError):
         self.report = report or {}
 
 
-class ResourceLimitError(RuntimeError):
-    """A configured size bound was exceeded."""
-
-
 class GeneratorSet(tuple):
     """A finite set of monomial exponents, kept sorted for determinism: the
     tuple of its exponent tuples."""
@@ -68,10 +63,6 @@ class GeneratorSet(tuple):
 
     def __new__(cls, exponents):
         return super().__new__(cls, sorted(tuple(int(a) for a in e) for e in exponents))
-
-    @property
-    def exponents(self):
-        return tuple(self)
 
 
 def _slice_index(r: int):
@@ -349,12 +340,12 @@ def spanning_certificate(S, desc, cutoff: int, d: int = 1) -> dict:
     """
     if d < 1:
         raise ValueError("dilation degree must be >= 1")
-    exponents = GeneratorSet(tuple(tuple(s) for s in S)).exponents
-    weights, verdict = _slice_entries(desc, exponents, cutoff, d)
+    gens = GeneratorSet(S)
+    weights, verdict = _slice_entries(desc, gens, cutoff, d)
     return {
         **desc.to_dict(),
         "d": d,
-        "generators": [list(e) for e in exponents],
+        "generators": [list(e) for e in gens],
         "cutoff": cutoff,
         "weights": weights,
         "verdict": verdict,

@@ -10,45 +10,39 @@ import sympy
 
 from vflie import homology, spanning
 from vflie.exact import Echelon, rank_of_vectors
-from vflie.homology import TensorCoefficients
 from vflie.liealg import FLAVOR_COORDINATE_SUM, VFBasis, basis_of_weight, bracket_basis
 from vflie.specht import _homogeneous_split
 from vflie.tensormod import ModuleDescriptor, ModuleElement, _letter_constants, act_e
 
 
-class CoordinateSumCoefficients(TensorCoefficients):
-    """T^n over the coordinate sum, placed factor by factor: factor j sits on
+class CoordinateSumComplex(homology._Complex):
+    """The coordinate sum's whole complex: the fields of field_pool, numbered
+    in its order, and T^n placed factor by factor: factor j sits on
     coordinate j, and x_c^(k+1) d_c acts on factor c alone, by the integers
     of _letter_constants.  The trivial module (r = 0) has no factors."""
 
-    def act_scaled(self, field, expo):
-        if not self.descriptor.r:
-            return {}
-        k, c = field.weight, field.direction
-        den, (base,) = _letter_constants(self.descriptor, 1, k)
-        f = den * expo[c] + base[c]
-        return {expo[:c] + (expo[c] + k,) + expo[c + 1 :]: f} if f else {}
-
-
-class CoordinateSumComplex(homology._Complex):
-    """The coordinate sum's whole complex: the fields of field_pool, numbered
-    in its order, and T^n acting factor by factor."""
-
-    def __init__(self, alg, coeffs, w_top):
-        self.alg, self.scale = alg, coeffs.descriptor.den
-        self.coeffs = CoordinateSumCoefficients(coeffs.descriptor)
+    def __init__(self, alg, desc, w_top):
+        self.alg, self.desc, self.scale = alg, desc, desc.den
         self.fields = field_pool(alg, w_top)
         self.number = {f: i for i, f in enumerate(self.fields)}
         self.weights = [f.weight for f in self.fields]
         self._brackets, self._actions = {}, {}
 
+    def act_scaled(self, field, expo):
+        if not self.desc.r:
+            return {}
+        k, c = field.weight, field.direction
+        den, (base,) = _letter_constants(self.desc, 1, k)
+        f = den * expo[c] + base[c]
+        return {expo[:c] + (expo[c] + k,) + expo[c + 1 :]: f} if f else {}
 
-def window(alg, coeffs, p, w):
+
+def window(alg, desc, p, w):
     """A complex whose fields reach every chain of C_q(w), q <= p."""
     top = homology._field_top(alg, p, w)
     if alg.flavor == FLAVOR_COORDINATE_SUM:
-        return CoordinateSumComplex(alg, coeffs, top)
-    return homology._Complex(alg, coeffs, top)
+        return CoordinateSumComplex(alg, desc, top)
+    return homology._Complex(alg, desc, top)
 
 
 def _boundary_columns(cx, p, w):
@@ -57,24 +51,24 @@ def _boundary_columns(cx, p, w):
     return [cx.column(key, row_of) for key in cx.chains(p, w)]
 
 
-def chain_list(alg, coeffs, p, w):
+def chain_list(alg, desc, p, w):
     """C_p(w) in chain order, each chain decoded to (wedge of fields, exponent)."""
-    cx = window(alg, coeffs, p, w)
+    cx = window(alg, desc, p, w)
     return [(tuple(cx.fields[i] for i in wedge), expo) for wedge, expo in cx.chains(p, w)]
 
 
-def boundary_matrix(alg, coeffs, p, w):
+def boundary_matrix(alg, desc, p, w):
     """d_p on the weight-w slice as a sympy matrix: rows C_(p-1)(w), columns C_p(w)."""
-    cx = window(alg, coeffs, p, w)
+    cx = window(alg, desc, p, w)
     cols = _boundary_columns(cx, p, w)
     entries = {(i, j): sympy.Rational(c, cx.scale) for j, col in enumerate(cols) for i, c in col.items()}
     return sympy.SparseMatrix(len(cx.chains(p - 1, w)), len(cols), entries)
 
 
-def homology_dim(alg, coeffs, p, w):
+def homology_dim(alg, desc, p, w):
     """dim H_p(w) = dim C_p(w) - rank d_p - rank d_(p+1), by exact ranks of
     the whole slice."""
-    cx = window(alg, coeffs, p + 1, w)
+    cx = window(alg, desc, p + 1, w)
     dim = len(cx.chains(p, w))
     if dim == 0:
         return 0

@@ -19,7 +19,7 @@ from _reference import (
     weyl_dim,
 )
 
-from vflie.homology import TensorCoefficients, homology_table
+from vflie.homology import homology_table
 from vflie.liealg import AlgebraDescriptor
 from vflie.pbw_hilbert import (
     associated_graded_presentation,
@@ -188,7 +188,7 @@ def test_criterion_06_hilbert_series():
 def test_criterion_07_low_degree_homology_window():
     t0 = time.perf_counter()
     alg = AlgebraDescriptor(1, d=1, flavor="L")
-    triv = TensorCoefficients()
+    triv = ModuleDescriptor(0, (), ())
     for p in (1, 2):
         for w in range(0, 11):
             # d o d = 0, the product taken by sympy
@@ -205,10 +205,10 @@ def test_criterion_07_low_degree_homology_window():
 def test_criterion_08_homology_with_coefficients():
     t0 = time.perf_counter()
     cases = (
-        (AlgebraDescriptor(1, d=2, flavor="L"), TensorCoefficients()),
+        (AlgebraDescriptor(1, d=2, flavor="L"), ModuleDescriptor(0, (), ())),
         (
             AlgebraDescriptor(1, d=1, flavor="L"),
-            TensorCoefficients(ModuleDescriptor(1, (Fraction(1),), (Fraction(0),))),
+            ModuleDescriptor(1, (Fraction(1),), (Fraction(0),)),
         ),
     )
     for alg, coeffs in cases:

@@ -10,12 +10,14 @@ import random
 import subprocess
 import sys
 import time
+from math import comb
 
 import pytest
 from _reference import weyl_dim
 
 from vflie import cli, homology, spanning, tensormod
 from vflie.cli import main
+from vflie.pbw_hilbert import RationalSeries
 
 
 def run_cli(argv):
@@ -465,6 +467,51 @@ def test_hilbert_closure_refused():
         assert code == 2 and out == "", argv
         assert "weight %d: " % w in err, (argv, err)
         assert "dimension %d, the harvest rank is %d" % (dim, rank) in err, (argv, err)
+
+
+# (r, lambda, mu, cutoffs, generator, its weight): inputs whose spanning set
+# has a generator above the cutoff
+ABOVE_CUTOFF = [
+    ("1", "-2", "-2", (4, 5, 6), None, None),
+    ("1", "-2", "0", (4,), "5", 5),
+    ("2", "-2,0", "-2,0", (5, 6, 8), None, None),
+    ("2", "-1/2,1/3", "-1,-1", (5, 6), None, None),
+    ("2", "-1,3", "-1,1", (5, 6), "4,5", 9),
+]
+
+
+def test_hilbert_generator_above_cutoff_refused():
+    # no relation of a generator above the cutoff is harvested, so it would
+    # enter the series as a free generator: the input is refused before the
+    # harvest, naming the generator, its weight and the cutoff
+    for r, lam, mu, cutoffs, gen, weight in ABOVE_CUTOFF:
+        for cutoff in cutoffs:
+            argv = ["hilbert", "--r", r, "--lam=" + lam, "--mu=" + mu, "--cutoff", str(cutoff)]
+            code, out, err = run_cli(argv)
+            assert code == 2 and out == "", argv
+            assert "above the cutoff %d\n" % cutoff in err, (argv, err)
+            if gen is not None and cutoff == cutoffs[0]:
+                assert err == "limit: generator %s has weight %d above the cutoff %d\n" % (
+                    gen, weight, cutoff
+                )
+
+
+def test_hilbert_series_expands_to_the_module_dimensions():
+    # an input that passes is printed with a series that holds past the
+    # cutoff: dim T^r(w) = C(w + r - 1, r - 1) through w = 40
+    for argv in (
+        ["--r", "1", "--lam=-2", "--mu=0", "--cutoff", "12"],
+        ["--r", "1", "--lam=-2", "--mu=-2", "--cutoff", "8"],
+        ["--r", "1", "--lam=1/2", "--mu=-1/3", "--cutoff", "8"],
+        ["--r", "2", "--lam=0,0", "--mu=0,0", "--cutoff", "10"],
+        ["--r", "2", "--lam=1/2,-1", "--mu=0,1/3", "--cutoff", "10"],
+    ):
+        code, out, err = run_cli(["hilbert"] + argv)
+        assert code == 0, (argv, err)
+        payload = json.loads(out)
+        r, series = payload["r"], payload["series"]
+        expanded = RationalSeries(series["num"], series["den"]).expand(40)
+        assert expanded == [comb(w + r - 1, r - 1) for w in range(41)], argv
 
 
 def test_benchmark_golden_bytes(tmp_path, monkeypatch):
