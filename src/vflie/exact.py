@@ -370,39 +370,21 @@ def rank_mod_p(vectors, p=PRIME, limit=None, kept=None) -> int:
 
 
 class SparseMat:
-    """Sparse matrix of rationals (Fraction or int) indexed by (row, col).
-
-    Zero entries are not stored.  ``rank``, ``kernel_basis`` and ``det`` all
-    reduce the columns in ``Echelon``'s one reduction loop, and ``_primitive``
-    normalizes each reduced column or kernel vector once.
+    """Sparse matrix of rationals (Fraction or int), held as its columns:
+    ``columns[j]`` is column j as a sparse ``{row: value}`` dict, kept as
+    the caller built it and never changed.  ``rank``, ``kernel_basis`` and
+    ``det`` all reduce copies of the columns in ``Echelon``'s one reduction
+    loop, and ``_primitive`` normalizes each reduced column or kernel vector
+    once.
     """
 
-    def __init__(self, rows: int, cols: int, entries=None):
+    def __init__(self, rows: int, columns):
         self.rows = rows
-        self.cols = cols
-        self.entries = {}
-        if entries:
-            for (i, j), v in entries.items():
-                self[i, j] = v
-
-    def __setitem__(self, key, value):
-        i, j = key
-        if not (0 <= i < self.rows and 0 <= j < self.cols):
-            raise IndexError(key)
-        value = Fraction(value)
-        if value == 0:
-            self.entries.pop((i, j), None)
-        else:
-            self.entries[(i, j)] = value
-
-    def col_vectors(self):
-        out = [dict() for _ in range(self.cols)]
-        for (i, j), v in self.entries.items():
-            out[j][i] = v
-        return out
+        self.columns = columns
+        self.cols = len(columns)
 
     def rank(self) -> int:
-        return rank_of_vectors(self.col_vectors())
+        return rank_of_vectors(self.columns)
 
     def kernel_basis(self):
         """Basis of the right null space as tuples of ints.
@@ -413,7 +395,7 @@ class SparseMat:
         """
         ech = Echelon(track=True)
         basis = []
-        for j, col in enumerate(self.col_vectors()):
+        for col in self.columns:
             combo = ech.insert(col)
             if combo is None:
                 continue
@@ -443,7 +425,7 @@ class SparseMat:
         ech = Echelon()
         lead_of = []  # the leading row of each stored column, by column
         num = den = scale = 1
-        for col in self.col_vectors():
+        for col in self.columns:
             v, s = _to_int_vector(col)
             scale *= s
             v, _, lead, factor = ech._reduce(v, None)

@@ -81,17 +81,19 @@ def _slice_index(r: int):
     return {expo: i for i, expo in enumerate(rows)}, cols
 
 
+def _columns(vectors, row_of):
+    """The {exponent: int} vectors as sparse integer columns on the rows
+    row_of numbers."""
+    return [{row_of[expo]: coeff for expo, coeff in vec.items()} for vec in vectors]
+
+
 def _newton_data(desc, row_of, cols):
     """Integer Newton matrix of T^r on the slice index: the monomial
     expansion of the degree-r word family, column (rho, a) holding
     den**length(rho) times e_1^(rho_1) ... e_r^(rho_r) z^a, as word_vectors
     yields it."""
     vectors = dict(word_vectors(desc, None, desc.r))
-    mat = SparseMat(len(row_of), len(cols))
-    for j, (rho, a) in enumerate(cols):
-        for expo, coeff in vectors[a, rho].items():
-            mat.entries[row_of[expo], j] = coeff
-    return mat
+    return SparseMat(len(row_of), _columns((vectors[a, rho] for rho, a in cols), row_of))
 
 
 def power_basis_matrix(r: int) -> SparseMat:
@@ -102,15 +104,14 @@ def power_basis_matrix(r: int) -> SparseMat:
     action _act_int with den = 0 and every base 1."""
     row_of, cols = _slice_index(r)
     ones = (1,) * r
-    mat = SparseMat(len(row_of), len(cols))
-    for j, (rho, a) in enumerate(cols):
+    vectors = []
+    for rho, a in cols:
         vec = {a: 1}
         for k, times in enumerate(rho, 1):
             for _ in range(times):
                 vec = _act_int(vec, k, 0, ones)
-        for expo, coeff in vec.items():
-            mat.entries[row_of[expo], j] = coeff
-    return mat
+        vectors.append(vec)
+    return SparseMat(len(row_of), _columns(vectors, row_of))
 
 
 def _shifted(desc, N):
@@ -143,22 +144,24 @@ def shift_determinant(desc, max_r: int = MAX_INTERPOLATION_R) -> list:
     # t: each of a word's at most r letters multiplies by a factor linear in
     # t.  So the matrices at t = 0..r fix each entry's forward differences,
     # which continue it to every later t by additions alone.
-    first = [_newton_data(_shifted(desc, (t,) * r), row_of, cols).entries for t in range(r + 1)]
-    diffs = {}
-    for key in set().union(*first):
-        d = [entries.get(key, 0) for entries in first]
-        for j in range(1, r + 1):  # d[j] becomes the j-th difference at t = 0
-            for i in range(r, j - 1, -1):
-                d[i] -= d[i - 1]
-        diffs[key] = d
+    first = [_newton_data(_shifted(desc, (t,) * r), row_of, cols).columns for t in range(r + 1)]
+    diffs = []  # (column, row, forward differences of the entry at the current t)
+    for j, column in enumerate(zip(*first)):
+        for i in set().union(*column):
+            d = [c.get(i, 0) for c in column]
+            for k in range(1, r + 1):  # d[k] becomes the k-th difference at t = 0
+                for m in range(r, k - 1, -1):
+                    d[m] -= d[m - 1]
+            diffs.append((j, i, d))
     values = []
     for _ in range(degree + 1):
-        mat = SparseMat(len(row_of), len(cols))
-        mat.entries = {key: d[0] for key, d in diffs.items() if d[0]}
-        values.append(mat.det())
-        for d in diffs.values():
-            for j in range(r):
-                d[j] += d[j + 1]
+        columns = [{} for _ in cols]
+        for j, i, d in diffs:
+            if d[0]:
+                columns[j][i] = d[0]
+            for k in range(r):
+                d[k] += d[k + 1]
+        values.append(SparseMat(len(row_of), columns).det())
     scale = desc.den ** degree * power_basis_matrix(r).det()
     return [c / scale for c in interpolate(values)]
 
@@ -178,11 +181,8 @@ def _slice_rank(desc, sources, w, d=1):
     dim = graded_dimension(desc, w)
     vectors = word_vectors(desc, sources, w, d)
     number = {m: i for i, m in enumerate(monomials_of_degree(desc.r, w))}
-    family = [
-        {number[m]: c for m, c in terms.items()}
-        for _, terms in sorted(vectors, key=lambda lv: (len(lv[1]), lv[0]))
-        if terms
-    ]
+    ordered = sorted(vectors, key=lambda lv: (len(lv[1]), lv[0]))
+    family = _columns((terms for _, terms in ordered if terms), number)
     return dim, len(vectors), rank_of_vectors(family, bound=min(dim, len(family)))
 
 

@@ -1,5 +1,6 @@
 """Exact arithmetic layer: interpolation, echelon forms, sparse matrices."""
 
+import copy
 import functools
 import itertools
 import math
@@ -128,17 +129,26 @@ def test_echelon_reduce_membership():
     assert ech.reduce({2: Fraction(1)}) != {}
 
 
+def _sparse_mat(rows, cols, entries):
+    """The rows x cols SparseMat of a {(i, j): value} dict, as its columns."""
+    columns = [{} for _ in range(cols)]
+    for (i, j), v in entries.items():
+        if v:
+            columns[j][i] = v
+    return SparseMat(rows, columns)
+
+
 def _random_sparse(rng, rows, cols, density=0.3):
-    m = SparseMat(rows, cols)
+    entries = {}
     for i in range(rows):
         for j in range(cols):
             if rng.random() < density:
-                m[i, j] = Fraction(rng.randint(-5, 5), rng.randint(1, 3))
-    return m
+                entries[i, j] = Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+    return _sparse_mat(rows, cols, entries)
 
 
 def _sympy_matrix(m):
-    return sympy.Matrix(m.rows, m.cols, lambda i, j: sympy.Rational(str(m.entries.get((i, j), 0))))
+    return sympy.Matrix(m.rows, m.cols, lambda i, j: sympy.Rational(str(m.columns[j].get(i, 0))))
 
 
 _T = sympy.Symbol("t")
@@ -175,7 +185,8 @@ def test_rank_transpose_invariance():
         rows = rng.randint(1, 8)
         cols = rng.randint(1, 8)
         m = _random_sparse(rng, rows, cols)
-        t = SparseMat(cols, rows, {(j, i): v for (i, j), v in m.entries.items()})
+        transposed = {(j, i): v for j, col in enumerate(m.columns) for i, v in col.items()}
+        t = _sparse_mat(cols, rows, transposed)
         # rank ranks the columns, so this checks the rows' rank too
         assert m.rank() == t.rank() == _sympy_matrix(m).rank()
 
@@ -193,8 +204,36 @@ def test_rank_nullity_and_kernel():
             # primitive, with a positive first nonzero entry
             assert math.gcd(*vec) == 1 and next(c for c in vec if c) > 0, vec
             for i in range(rows):
-                total = sum(m.entries.get((i, j), 0) * vec[j] for j in range(cols))
+                total = sum(m.columns[j].get(i, 0) * vec[j] for j in range(cols))
                 assert total == 0
+
+
+def test_sparse_mat_leaves_its_columns_unchanged():
+    # SparseMat holds the caller's column dicts themselves, so det, rank and
+    # kernel_basis must reduce copies; integer columns with a content (every
+    # entry even), square, singular and wide, keep their int values
+    rng = random.Random(41)
+    for rational in (False, True):
+        for _ in range(20):
+            rows = rng.randint(1, 6)
+            cols = rows if rng.random() < 0.5 else rng.randint(1, 7)
+            columns = []
+            for _ in range(cols):
+                col = {i: 2 * rng.randint(-5, 5) for i in range(rows) if rng.random() < 0.6}
+                if rational:
+                    col = {i: Fraction(c, rng.randint(1, 3)) for i, c in col.items()}
+                columns.append({i: c for i, c in col.items() if c})
+            if cols > 1 and rng.random() < 0.5:
+                columns[-1] = dict(columns[0])
+            before = copy.deepcopy(columns)
+            m = SparseMat(rows, columns)
+            if rows == cols:
+                m.det()
+            m.rank()
+            m.kernel_basis()
+            assert m.columns is columns and columns == before
+            types = [[type(c) for c in col.values()] for col in before]
+            assert [[type(c) for c in col.values()] for col in columns] == types
 
 
 def _det_permutation(dense):
@@ -225,7 +264,7 @@ def test_det_against_permutation_expansion():
                 for _ in range(n)
             ]
             entries = {(i, j): x for i, row in enumerate(dense) for j, x in enumerate(row)}
-            assert SparseMat(n, n, entries).det() == _det_permutation(dense)
+            assert _sparse_mat(n, n, entries).det() == _det_permutation(dense)
 
 
 @st.composite
@@ -249,7 +288,7 @@ def _square_matrices(draw):
     elif n > 1 and kind == "repeated":
         i, j = draw(st.permutations(range(n)))[:2]
         cols[j] = list(cols[i])
-    return SparseMat(n, n, {(i, j): x for j, col in enumerate(cols) for i, x in enumerate(col)})
+    return _sparse_mat(n, n, {(i, j): x for j, col in enumerate(cols) for i, x in enumerate(col)})
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -257,7 +296,7 @@ def _square_matrices(draw):
 def test_det_matches_sympy(m):
     # det != 0 exactly when the columns are independent in an Echelon
     ech = Echelon()
-    for col in m.col_vectors():
+    for col in m.columns:
         ech.insert(col)
     assert (m.det() != 0) == (ech.rank == m.rows)
     expected = Fraction(str(_sympy_matrix(m).det()))
@@ -271,7 +310,7 @@ def test_det_multiplicative():
         b = _sympy_matrix(_random_sparse(rng, n, n, density=0.8))
         dets = []
         for c in (a, b, a * b):
-            m = SparseMat(n, n, {(i, j): Fraction(str(x)) for (i, j), x in c.todok().items()})
+            m = _sparse_mat(n, n, {(i, j): Fraction(str(x)) for (i, j), x in c.todok().items()})
             assert m.det() == Fraction(str(c.det())), (n, c)
             dets.append(m.det())
         assert dets[2] == dets[0] * dets[1]

@@ -105,9 +105,11 @@ def test_mutable_records_compare_by_value():
 
 def test_cli_import_leaves_out_dataclasses():
     # a fresh interpreter without site customisation: importing the program
-    # must not pull in dataclasses or inspect, a fixed cost of every job
+    # must not pull in dataclasses or inspect, a fixed cost of every job, nor
+    # numpy, sympy or hypothesis, which may serve only as test oracles
     src = os.path.dirname(os.path.dirname(os.path.abspath(homology.__file__)))
-    code = "import sys, vflie.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    banned = {"dataclasses", "inspect", "numpy", "sympy", "hypothesis"}
+    code = "import sys, vflie.cli; print(sorted(%r & set(sys.modules)))" % banned
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run(
         [sys.executable, "-S", "-c", code], capture_output=True, text=True, env=env, check=True

@@ -144,7 +144,7 @@ def test_newton_matrix_fractional_parameters_exact():
         desc = ModuleDescriptor(r, lam, mu)
         rows = monomials_of_degree(r, r)
         assert (m.rows, m.cols) == (len(rows), len(cols))
-        assert all(type(c) is int for c in m.entries.values())
+        assert all(type(c) is int for col in m.columns for c in col.values())
         for j, (rho, a) in enumerate(cols):
             vec = ModuleElement(desc, {a: 1})
             for k in range(r, 0, -1):
@@ -152,7 +152,7 @@ def test_newton_matrix_fractional_parameters_exact():
                     vec = act_e(k, vec)
             scale = desc.den ** sum(rho)
             for i, row in enumerate(rows):
-                assert Fraction(m.entries.get((i, j), 0), scale) == vec.terms.get(tuple(row), 0)
+                assert Fraction(m.columns[j].get(i, 0), scale) == vec.terms.get(tuple(row), 0)
 
 
 def _degree_r_columns(r):
@@ -181,14 +181,15 @@ def test_power_basis_matrix_matches_mpoly_products():
                 column = column * power[k] ** times
             terms = column.as_dict()
             for i, row in enumerate(rows):
-                assert m.entries.get((i, j), 0) == terms.get(row, 0)
+                assert m.columns[j].get(i, 0) == terms.get(row, 0)
         assert m.det() != 0
 
 
 def test_power_basis_matrix_is_not_shared():
     # every call builds a fresh matrix: clearing one leaves the power-basis
     # determinant that shift_determinant divides by, here of N^3 (N + 1)
-    power_basis_matrix(2).entries.clear()
+    for col in power_basis_matrix(2).columns:
+        col.clear()
     assert shift_determinant(ModuleDescriptor(2, (0, 0), (0, 0))) == [0, 0, 0, 1, 1]
 
 
@@ -377,7 +378,7 @@ def test_shift_determinant_matches_symbolic_det():
         lam = tuple(_rand_rat(rng) for _ in range(r))
         mu = tuple(_rand_rat(rng) for _ in range(r))
         power = power_basis_matrix(r)
-        power = sympy.Matrix(power.rows, power.cols, lambda i, j: power.entries.get((i, j), 0))
+        power = sympy.Matrix(power.rows, power.cols, lambda i, j: power.columns[j].get(i, 0))
         # sympy's determinant over the polynomial ring Q[N]
         newton = DomainMatrix.from_Matrix(_symbolic_newton_matrix(r, lam, mu, N))
         newton = newton.convert_to(sympy.QQ[N])
